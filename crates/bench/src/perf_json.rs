@@ -5,11 +5,10 @@
 //! growing `trajectory` array) is a real perf trajectory future PRs
 //! extend instead of optimising blind. One record per label: re-running
 //! with an existing label replaces that record in place rather than
-//! appending a duplicate. The offline `serde` shim has no format
-//! backend, so the document is emitted (and spliced) by hand; the
-//! layout is fixed — two header lines, one line per run record, two
-//! footer lines — which is what makes [`append_run`] a safe textual
-//! splice. `docs/PERFORMANCE.md` documents the schema.
+//! appending a duplicate. The document is emitted (and spliced) by
+//! hand; the layout is fixed — two header lines, one line per run
+//! record, two footer lines — which is what makes [`append_run`] a safe
+//! textual splice. `docs/PERFORMANCE.md` documents the schema.
 //!
 //! Determinism: within a run record, every `*_ops` field and `switches`
 //! is identical at any `noc-par` thread count; only the `*_ms` fields

@@ -36,6 +36,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
+use noc_obs::{count, Counter};
 use noc_topology::NodeId;
 use noc_usecase::spec::{CoreId, SocSpec};
 use noc_usecase::UseCaseGroups;
@@ -43,7 +44,6 @@ use noc_usecase::UseCaseGroups;
 use crate::error::MapError;
 use crate::mapper::{reroute_preset_groups_cached, MapperOptions, RouteCache};
 use crate::merge::MergedFlow;
-use crate::perf;
 use crate::result::MappingSolution;
 
 /// Deterministic cap on displacement repair iterations per admission
@@ -192,7 +192,7 @@ pub fn admit_group(
         .filter(|&ni| !occupied.contains(&ni) && !options.faults.ni_failed(ni))
         .collect();
     if new_cores.len() > free.len() {
-        perf::record_rejection();
+        count(Counter::Rejections, 1);
         return Err(RejectReason::NisExhausted {
             needed: new_cores.len(),
             free: free.len(),
@@ -258,8 +258,8 @@ pub fn admit_group(
                     })
                     .collect();
                 let evictions = moved.len() as u64;
-                perf::record_admission();
-                perf::record_displacement_evictions(evictions);
+                count(Counter::Admissions, 1);
+                count(Counter::DisplacementEvictions, evictions);
                 return Ok(Admission {
                     solution,
                     placed: {
@@ -317,7 +317,7 @@ pub fn admit_group(
             }
         }
     }
-    perf::record_rejection();
+    count(Counter::Rejections, 1);
     Err(RejectReason::Unroutable(
         last_err.expect("repair loop only exits through a recorded error"),
     ))

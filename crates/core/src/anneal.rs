@@ -30,6 +30,7 @@
 //! full-re-route implementation; `tests/perf_counters.rs` pins the op
 //! counts, the goldens pin the bytes.
 
+use noc_obs::{count, Counter};
 use noc_usecase::spec::SocSpec;
 use noc_usecase::UseCaseGroups;
 use rand::rngs::SmallRng;
@@ -41,7 +42,6 @@ use crate::mapper::{
     Placement, RouteCache,
 };
 use crate::merge::merged_group_flows;
-use crate::perf;
 use crate::result::MappingSolution;
 
 /// Annealing schedule parameters.
@@ -215,7 +215,7 @@ fn refine_impl(
                 temperature *= config.cooling;
                 continue;
             }
-            perf::inc(&perf::ANNEAL_MOVES);
+            count(Counter::AnnealMoves, 1);
             moves += 1;
             let b = cores.iter().copied().find(|c| mapping[c] == target_ni);
             if let Some(b) = b {
@@ -245,7 +245,7 @@ fn refine_impl(
                 let accept = delta <= 0.0
                     || rng.gen_bool((-delta / temperature.max(1e-9)).exp().clamp(0.0, 1.0));
                 if accept {
-                    perf::inc(&perf::ANNEAL_ACCEPTS);
+                    count(Counter::AnnealAccepts, 1);
                     accepts += 1;
                     accepted = true;
                     shadow = None;

@@ -27,6 +27,7 @@
 
 use std::collections::BTreeSet;
 
+use noc_obs::{count, Counter};
 use noc_topology::NodeId;
 use noc_usecase::spec::{CoreId, SocSpec};
 use noc_usecase::UseCaseGroups;
@@ -34,7 +35,6 @@ use noc_usecase::UseCaseGroups;
 use crate::error::MapError;
 use crate::mapper::{reroute_preset_groups_cached, MapperOptions, RouteCache};
 use crate::merge::merged_group_flows;
-use crate::perf;
 use crate::remap::RemapConfig;
 use crate::result::{GroupConfig, MappingSolution};
 
@@ -106,7 +106,7 @@ pub fn heal(
     options: &MapperOptions,
     remap: &RemapConfig,
 ) -> HealOutcome {
-    perf::record_heal_attempt();
+    count(Counter::HealsAttempted, 1);
     let topo = base.topology();
     let faults = &options.faults;
     if faults.is_empty() {
@@ -236,8 +236,8 @@ pub fn heal(
         )
     };
     let rerouted = active.iter().filter(|&&a| a).count() as u64;
-    perf::record_heal_reroutes(rerouted);
-    perf::record_heal_evictions(moved.len() as u64);
+    count(Counter::HealReroutes, rerouted);
+    count(Counter::HealEvictions, moved.len() as u64);
 
     if degraded_groups.is_empty() {
         return HealOutcome::Healed {

@@ -4,6 +4,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 
+use noc_obs::{count, Counter};
 use noc_tdma::{ConnId, NetworkSlots, SlotPolicy, TdmaSpec};
 use noc_topology::units::{Bandwidth, Latency};
 use noc_topology::{FaultSet, LinkId, NodeId, Topology};
@@ -13,7 +14,6 @@ use noc_usecase::UseCaseGroups;
 use crate::error::MapError;
 use crate::merge::{merged_group_flows, MergedFlow};
 use crate::path::{PathQuery, PathScratch, Target};
-use crate::perf;
 use crate::result::{GroupConfig, MappingSolution, Route};
 
 /// How cores are placed onto NIs.
@@ -168,7 +168,7 @@ impl<'a> MapState<'a> {
         dst: CoreId,
         demand: MergedFlow,
     ) -> Result<(Route, NodeId, NodeId), MapError> {
-        perf::inc(&perf::GROUP_ROUTES);
+        count(Counter::GroupRoutes, 1);
         let needed = self.spec.slots_for_bandwidth(demand.bandwidth);
         debug_assert!(needed >= 1);
         let max_hops = self.max_hops_for(demand.latency);
@@ -570,7 +570,7 @@ pub fn map_multi_usecase(
     spec: TdmaSpec,
     options: &MapperOptions,
 ) -> Result<MappingSolution, MapError> {
-    perf::inc(&perf::FULL_MAPS);
+    count(Counter::FullMaps, 1);
     let placement = match &options.placement {
         Placement::Unified => EffectivePlacement::Unified,
         Placement::RoundRobin => EffectivePlacement::RoundRobin,
@@ -645,8 +645,8 @@ pub fn reroute_preset_groups(
     let topo = base.topology();
     let spec = base.spec();
     let rerouted = affected.iter().filter(|&&a| a).count() as u64;
-    perf::add(&perf::GROUPS_REROUTED, rerouted);
-    perf::add(&perf::GROUPS_REUSED, affected.len() as u64 - rerouted);
+    count(Counter::GroupsRerouted, rerouted);
+    count(Counter::GroupsReused, affected.len() as u64 - rerouted);
     let (core_to_ni, configs) = run_mapping(
         soc,
         groups,
@@ -839,8 +839,8 @@ pub fn reroute_preset_groups_cached(
             None => to_route[g] = true,
         }
     }
-    perf::add(&perf::ROUTE_CACHE_HITS, hits.len() as u64);
-    perf::add(&perf::ROUTE_CACHE_MISSES, misses.len() as u64);
+    count(Counter::RouteCacheHits, hits.len() as u64);
+    count(Counter::RouteCacheMisses, misses.len() as u64);
     let sol = reroute_preset_groups(soc, groups, base, options, placement, &to_route, merged)?;
     for (g, sig) in misses {
         cache.configs[g].insert(sig, sol.group_configs()[g].clone());

@@ -21,10 +21,9 @@ use std::cmp::Reverse;
 use std::collections::BTreeSet;
 use std::collections::BinaryHeap;
 
+use noc_obs::{count, Counter};
 use noc_tdma::NetworkSlots;
 use noc_topology::{LinkId, NodeId, Topology};
-
-use crate::perf;
 
 /// Fixed-point cost of traversing one unloaded link (1 hop = 1000 millis).
 pub const HOP_COST_MILLIS: u64 = 1000;
@@ -96,7 +95,7 @@ impl PathScratch {
     /// An empty scratch; buffers grow to the queried topology's size on
     /// first use and are retained afterwards.
     pub fn new() -> Self {
-        perf::inc(&perf::SCRATCH_ALLOCS);
+        count(Counter::ScratchAllocs, 1);
         PathScratch {
             labels: Vec::new(),
             stamps: Vec::new(),
@@ -214,7 +213,7 @@ impl<'a> PathQuery<'a> {
         sources: &[NodeId],
         target: Target<'_>,
     ) -> Option<FoundPath> {
-        perf::inc(&perf::PATH_QUERIES);
+        count(Counter::PathQueries, 1);
         let n = self.topo.node_count();
         scratch.begin(n);
         let mut pops: u64 = 0;
@@ -257,7 +256,7 @@ impl<'a> PathQuery<'a> {
             if is_target(u, origin) {
                 // Labels settle in cost order: the first acceptable target
                 // label is optimal.
-                perf::add(&perf::DIJKSTRA_POPS, pops);
+                count(Counter::DijkstraPops, pops);
                 return Some(self.reconstruct(u, slot, d, scratch));
             }
             // NIs are endpoints only: never expand out of an NI unless it
@@ -297,7 +296,7 @@ impl<'a> PathQuery<'a> {
                 )));
             }
         }
-        perf::add(&perf::DIJKSTRA_POPS, pops);
+        count(Counter::DijkstraPops, pops);
         None
     }
 

@@ -10,214 +10,76 @@
 //! no longer performs one full re-route per proposed move and that path
 //! queries stop allocating per call.
 //!
-//! Counters are process-global relaxed atomics — cheap enough to stay
-//! always-on. Most live in this module; the slot-conflict pair
-//! (`conflict_word_tests` / `legacy_slot_probes`) lives below us in the
-//! crate DAG, in [`noc_tdma::stats`], and is folded into every
-//! [`snapshot`] here so consumers see one struct, as is the span count
-//! from [`noc_obs`].
+//! The counters live in one store, the thread-local vector of
+//! [`noc_obs`]: hot paths in every crate call
+//! [`noc_obs::count`]`(`[`Counter`]`, n)`, and [`snapshot`] reads the
+//! calling thread's vector as a [`PerfSnapshot`] with one named field
+//! per counter. `noc-par` hands a pool worker's counts back to the
+//! region's caller before the region returns, so
+//! `snapshot().since(&before)` is exactly the work the calling thread
+//! asked for since `before`, at any width, whatever else runs in the
+//! process.
 //!
-//! # Snapshot reads are not atomic
-//!
-//! [`snapshot`] loads each counter with a separate relaxed read: the
-//! returned struct is **not** a consistent cut of concurrently mutating
-//! counters. A snapshot taken while mapping work runs on other threads
-//! can pair a `path_queries` value from before one of those queries with
-//! a `dijkstra_pops` value from inside it. Exact per-section deltas
-//! therefore require that no unrelated mapping work runs concurrently —
-//! the perf harness runs in its own process, and counter-based tests
-//! keep to one test function per binary. Quiesced reads (after all
-//! regions joined) are exact: `noc-par` regions synchronise through
-//! locks and condvars, which order the workers' relaxed increments
-//! before the reader's loads.
-//!
-//! Every increment also advances the calling thread's [`noc_obs`]
-//! op-clock (when a trace collector is installed), which is what gives
-//! trace spans their schedule-independent cost field.
+//! The same vector is the op clock trace spans are timed with; see
+//! `docs/OBSERVABILITY.md`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use noc_obs::Counter;
 
-macro_rules! counters {
-    (
-        local { $($(#[$doc:meta])* $name:ident => $static_name:ident),* $(,)? }
-        external {
-            resets { $($ereset:path),* $(,)? }
-            $($(#[$edoc:meta])* $ename:ident => $eread:path),* $(,)?
-        }
-    ) => {
-        $(pub(crate) static $static_name: AtomicU64 = AtomicU64::new(0);)*
-
-        /// A point-in-time copy of every hot-path counter.
+macro_rules! snapshot_fields {
+    ($($name:ident => $counter:ident,)*) => {
+        /// A copy of the calling thread's counters, one field per
+        /// [`Counter`] the mapping stack reports.
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
         pub struct PerfSnapshot {
-            $($(#[$doc])* pub $name: u64,)*
-            $($(#[$edoc])* pub $ename: u64,)*
+            $(
+                #[doc = concat!("[`Counter::", stringify!($counter), "`].")]
+                pub $name: u64,
+            )*
         }
 
-        /// Reads every counter at once (including the externally sourced
-        /// ones from lower crates). Not an atomic cut — see the module
-        /// docs.
+        /// Reads the calling thread's counters.
         pub fn snapshot() -> PerfSnapshot {
+            let counts = noc_obs::counts();
             PerfSnapshot {
-                $($name: $static_name.load(Ordering::Relaxed),)*
-                $($ename: $eread(),)*
+                $($name: counts[Counter::$counter],)*
             }
         }
 
-        /// Resets every counter to zero (test harnesses only; concurrent
-        /// mapping work observes the reset mid-flight). External source
-        /// crates declare one reset each in the `resets` block — not one
-        /// per counter, since a source typically clears all its counters
-        /// in one call.
-        pub fn reset() {
-            $($static_name.store(0, Ordering::Relaxed);)*
-            $($ereset();)*
-        }
-
         impl PerfSnapshot {
-            /// The per-field difference `self - earlier` (saturating, so
-            /// a reset between snapshots cannot underflow).
+            /// The per-field difference `self - earlier`.
             #[must_use]
             pub fn since(&self, earlier: &PerfSnapshot) -> PerfSnapshot {
                 PerfSnapshot {
                     $($name: self.$name.saturating_sub(earlier.$name),)*
-                    $($ename: self.$ename.saturating_sub(earlier.$ename),)*
                 }
             }
         }
     };
 }
 
-counters! {
-    local {
-        /// Constrained shortest-path queries ([`crate::path::PathQuery`]).
-        path_queries => PATH_QUERIES,
-        /// Dijkstra heap pops across all path queries.
-        dijkstra_pops => DIJKSTRA_POPS,
-        /// Label-table scratch buffers allocated
-        /// ([`crate::path::PathScratch::new`]); flat while queries climb
-        /// proves the reuse convention holds.
-        scratch_allocs => SCRATCH_ALLOCS,
-        /// Single `(pair, group)` routing attempts inside the mapper.
-        group_routes => GROUP_ROUTES,
-        /// Full `map_multi_usecase` runs (every group routed).
-        full_maps => FULL_MAPS,
-        /// Groups actually re-routed by a delta re-route
-        /// ([`crate::mapper::reroute_preset_groups`]).
-        groups_rerouted => GROUPS_REROUTED,
-        /// Groups a delta re-route reused verbatim from the base solution.
-        groups_reused => GROUPS_REUSED,
-        /// Annealing moves proposed (self-moves excluded).
-        anneal_moves => ANNEAL_MOVES,
-        /// Annealing moves accepted.
-        anneal_accepts => ANNEAL_ACCEPTS,
-        /// Per-group configs served from a [`crate::mapper::RouteCache`]
-        /// instead of being re-routed.
-        route_cache_hits => ROUTE_CACHE_HITS,
-        /// Per-group configs routed and inserted into a
-        /// [`crate::mapper::RouteCache`].
-        route_cache_misses => ROUTE_CACHE_MISSES,
-        /// Use-case admissions accepted by [`crate::admit::admit_group`]
-        /// or an online-service resolve baseline.
-        admissions => ADMISSIONS,
-        /// Use-case admissions rejected (NI exhaustion or unroutable
-        /// after displacement).
-        rejections => REJECTIONS,
-        /// Pre-existing cores displaced (evicted onto another NI) during
-        /// admission-time displacement search.
-        displacement_evictions => DISPLACEMENT_EVICTIONS,
-        /// Non-empty request batches flushed at a reconfiguration point
-        /// by the online mapping service.
-        batch_flushes => BATCH_FLUSHES,
-        /// Link/NI failures injected into a running mapping (the online
-        /// service's `fault` verb and the resilience sweeps).
-        faults_injected => FAULTS_INJECTED,
-        /// [`crate::heal()`] invocations (initial auto-heals plus explicit
-        /// re-heal attempts).
-        heals_attempted => HEALS_ATTEMPTED,
-        /// Groups re-routed by heal around failed resources — the
-        /// incremental repair unit; stays ≪ `full_maps` would be.
-        heal_reroutes => HEAL_REROUTES,
-        /// Stranded cores re-placed off failed NIs by heal, charged
-        /// against the `RemapConfig` move budget.
-        heal_evictions => HEAL_EVICTIONS,
-    }
-    external {
-        resets { noc_tdma::stats::reset, noc_obs::reset_span_count }
-        /// `u64`-word operations in slot-conflict folds
-        /// ([`noc_tdma::stats::conflict_word_tests`]).
-        conflict_word_tests => noc_tdma::stats::conflict_word_tests,
-        /// Per-slot probes the pre-mask slot tables would have needed for
-        /// the same conflict answers
-        /// ([`noc_tdma::stats::legacy_slot_probes`]).
-        legacy_slot_probes => noc_tdma::stats::legacy_slot_probes,
-        /// Trace spans recorded by [`noc_obs`]; stays 0 when no collector
-        /// is installed — the pay-for-use proof for the tracing layer.
-        trace_spans => noc_obs::span_count,
-    }
-}
-
-#[inline]
-pub(crate) fn add(counter: &AtomicU64, n: u64) {
-    counter.fetch_add(n, Ordering::Relaxed);
-    noc_obs::tick(n);
-}
-
-#[inline]
-pub(crate) fn inc(counter: &AtomicU64) {
-    add(counter, 1);
-}
-
-/// Records one accepted admission (for admission engines living outside
-/// this crate, e.g. the online service's resolve baseline; the
-/// incremental path in [`crate::admit`] records its own).
-pub fn record_admission() {
-    inc(&ADMISSIONS);
-}
-
-/// Records one rejected admission.
-pub fn record_rejection() {
-    inc(&REJECTIONS);
-}
-
-/// Records `n` displaced-core evictions performed while admitting.
-pub fn record_displacement_evictions(n: u64) {
-    if n > 0 {
-        add(&DISPLACEMENT_EVICTIONS, n);
-    }
-}
-
-/// Records one non-empty batch flushed at a reconfiguration point.
-pub fn record_batch_flush() {
-    inc(&BATCH_FLUSHES);
-}
-
-/// Records `n` injected resource failures (the service's `fault` verb
-/// applies a whole request's links/NIs in one reconfiguration step).
-pub fn record_fault_injections(n: u64) {
-    if n > 0 {
-        add(&FAULTS_INJECTED, n);
-    }
-}
-
-/// Records one heal attempt ([`crate::heal::heal`], or the service
-/// re-attempting a degraded use-case on an explicit `heal` request).
-pub fn record_heal_attempt() {
-    inc(&HEALS_ATTEMPTED);
-}
-
-/// Records `n` groups re-routed around failed resources by a heal.
-pub fn record_heal_reroutes(n: u64) {
-    if n > 0 {
-        add(&HEAL_REROUTES, n);
-    }
-}
-
-/// Records `n` stranded cores re-seated off failed NIs by a heal.
-pub fn record_heal_evictions(n: u64) {
-    if n > 0 {
-        add(&HEAL_EVICTIONS, n);
-    }
+snapshot_fields! {
+    path_queries => PathQueries,
+    dijkstra_pops => DijkstraPops,
+    scratch_allocs => ScratchAllocs,
+    group_routes => GroupRoutes,
+    full_maps => FullMaps,
+    groups_rerouted => GroupsRerouted,
+    groups_reused => GroupsReused,
+    anneal_moves => AnnealMoves,
+    anneal_accepts => AnnealAccepts,
+    route_cache_hits => RouteCacheHits,
+    route_cache_misses => RouteCacheMisses,
+    admissions => Admissions,
+    rejections => Rejections,
+    displacement_evictions => DisplacementEvictions,
+    batch_flushes => BatchFlushes,
+    faults_injected => FaultsInjected,
+    heals_attempted => HealsAttempted,
+    heal_reroutes => HealReroutes,
+    heal_evictions => HealEvictions,
+    conflict_word_tests => ConflictWordTests,
+    legacy_slot_probes => LegacySlotProbes,
+    trace_spans => TraceSpans,
 }
 
 #[cfg(test)]
@@ -227,10 +89,10 @@ mod tests {
     #[test]
     fn snapshot_deltas_are_per_field() {
         let a = snapshot();
-        inc(&PATH_QUERIES);
-        add(&DIJKSTRA_POPS, 5);
+        noc_obs::count(Counter::PathQueries, 1);
+        noc_obs::count(Counter::DijkstraPops, 5);
         let d = snapshot().since(&a);
-        assert!(d.path_queries >= 1);
-        assert!(d.dijkstra_pops >= 5);
+        assert_eq!((d.path_queries, d.dijkstra_pops), (1, 5));
+        assert_eq!(d.full_maps, 0);
     }
 }

@@ -8,13 +8,12 @@
 use noc_usecase::spec::{CoreId, SocSpec, UseCaseBuilder};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::clusters::TrafficMix;
 use crate::pairs::sample_pairs;
 
 /// Configuration of a Bot benchmark.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BottleneckConfig {
     /// Number of SoC cores.
     pub cores: u32,

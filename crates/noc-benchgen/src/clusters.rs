@@ -11,11 +11,10 @@
 use noc_topology::units::{Bandwidth, Latency};
 use rand::distributions::{Distribution, WeightedIndex};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One cluster of traffic constraints: a nominal bandwidth with a small
 /// relative deviation, a latency bound, and a selection weight.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrafficClass {
     /// Human-readable cluster name.
     pub name: String,
@@ -76,7 +75,7 @@ impl TrafficClass {
 }
 
 /// A weighted set of traffic classes to draw flows from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrafficMix {
     classes: Vec<TrafficClass>,
 }

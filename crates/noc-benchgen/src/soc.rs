@@ -17,14 +17,13 @@
 //! deterministic: each design has a fixed seed.
 
 use noc_usecase::spec::SocSpec;
-use serde::{Deserialize, Serialize};
 
 use crate::bottleneck::BottleneckConfig;
 use crate::clusters::TrafficMix;
 use crate::spread::SpreadConfig;
 
 /// One of the paper's four SoC designs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SocDesign {
     /// Set-top box SoC with 4 use-cases.
     D1,
@@ -37,7 +36,7 @@ pub enum SocDesign {
 }
 
 /// How a design's traffic is shaped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrafficShape {
     /// Hub-dominated: most flows touch a shared external memory.
     Bottleneck,
@@ -46,7 +45,7 @@ pub enum TrafficShape {
 }
 
 /// The published parameters of a [`SocDesign`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SocDesignConfig {
     /// Design label (`"D1"` … `"D4"`).
     pub label: &'static str,

@@ -8,7 +8,6 @@
 use noc_usecase::spec::{SocSpec, UseCaseBuilder};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::clusters::TrafficMix;
 use crate::pairs::sample_pairs;
@@ -18,7 +17,7 @@ use crate::pairs::sample_pairs;
 /// The paper's setup fixes 20 cores and 60–100 flows per use-case
 /// ([`SpreadConfig::paper`]); every field can be overridden for wider
 /// sweeps.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpreadConfig {
     /// Number of SoC cores.
     pub cores: u32,

@@ -7,10 +7,9 @@
 //! pipeline API. A [`FlowConfig`] is the single-design analogue: the
 //! stage list plus the shared knobs of one [`crate::DesignFlow`].
 //!
-//! The types derive `serde::{Serialize, Deserialize}`; since the
-//! offline `serde` shim has no format backend, the wire format is the
-//! hand-rolled text grammar below (the same approach as
-//! `noc_usecase::textio`), which round-trips every spec exactly:
+//! The wire format is the hand-rolled text grammar below (the same
+//! approach as `noc_usecase::textio`), which round-trips every spec
+//! exactly:
 //!
 //! ```text
 //! experiment fig6b
@@ -38,14 +37,13 @@ use noc_usecase::spec::SocSpec;
 use nocmap::anneal::AnnealConfig;
 use nocmap::remap::RemapConfig;
 use nocmap::strategy::StrategyKind;
-use serde::{Deserialize, Serialize};
 
 use crate::builder::{DesignFlow, FlowBuilder};
 use crate::FlowError;
 
 /// A benchmark generator reference: which spec to synthesize, from
 /// which seed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BenchmarkSpec {
     /// One of the paper's four SoC designs (deterministic, no seed).
     Design(SocDesign),
@@ -115,7 +113,7 @@ impl BenchmarkSpec {
 }
 
 /// A benchmark plus the row label it carries in rendered tables.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LabeledBench {
     /// Row label (design name, use-case count, …).
     pub label: String,
@@ -134,7 +132,7 @@ impl LabeledBench {
 }
 
 /// A labeled best-effort traffic shape for burst sweeps.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BurstModel {
     /// Row label (`constant`, `onoff-1/2`, …).
     pub label: String,
@@ -144,7 +142,7 @@ pub struct BurstModel {
 
 /// One mapper-quality ablation variant (the DESIGN.md heuristics
 /// against naive baselines).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AblationVariant {
     /// The paper's default heuristics.
     PaperDefaults,
@@ -177,7 +175,7 @@ impl AblationVariant {
 }
 
 /// The experiment families the generic runner knows how to execute.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ExperimentKind {
     /// Ours-vs-worst-case switch-count comparison over benchmarks
     /// (Figures 6(a)–(c)).
@@ -311,7 +309,7 @@ pub enum ExperimentKind {
 }
 
 /// A named, titled, executable experiment description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentSpec {
     /// Registry / CLI name (`fig6a`, `be_burst`, …).
     pub name: String,
@@ -322,7 +320,7 @@ pub struct ExperimentSpec {
 }
 
 /// One stage entry of a [`FlowConfig`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StageConfig {
     /// Smallest-mesh mapping, optionally refined by a portfolio
     /// strategy (`stage map [greedy|displacement|bnb]` in the text
@@ -374,7 +372,7 @@ impl StageConfig {
 
 /// Declarative form of one [`DesignFlow`]: the shared knobs plus the
 /// stage list, as data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowConfig {
     /// Config name (informational).
     pub name: String,

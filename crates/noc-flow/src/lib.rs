@@ -18,8 +18,8 @@
 //!   anneal / remap / verify / simulate stages over a [`FlowContext`].
 //! * [`builder`] — [`FlowBuilder`] / [`DesignFlow`]: seed, `noc-par`
 //!   thread policy and per-stage configs threaded once.
-//! * [`config`] — serde-serializable [`FlowConfig`] / [`ExperimentSpec`]
-//!   with a line-oriented text format (`to_text` / `from_text`).
+//! * [`config`] — [`FlowConfig`] / [`ExperimentSpec`] documents with a
+//!   line-oriented text format (`to_text` / `from_text`).
 //! * [`registry`] — every figure/table of the paper's evaluation
 //!   re-expressed as a named [`ExperimentSpec`].
 //! * [`runner`] / [`render`] — the generic executor and the shared

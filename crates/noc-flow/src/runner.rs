@@ -768,9 +768,8 @@ fn run_be_burst(
 }
 
 /// Maps and then anneals each benchmark, bracketing both phases with
-/// op-counter snapshots. Benchmarks run sequentially (each is timed;
-/// the flows inside still use `noc-par`), so the per-phase counter
-/// deltas are exact — the perf harness runs in its own process.
+/// op-counter snapshots. Benchmarks run sequentially because each is
+/// timed; the flows inside still use `noc-par`.
 fn run_perf(benches: &[LabeledBench], iterations: u64, chains: u64) -> Vec<PerfPoint> {
     let spec = TdmaSpec::paper_default();
     let opts = MapperOptions::default();
@@ -839,9 +838,8 @@ fn run_perf(benches: &[LabeledBench], iterations: u64, chains: u64) -> Vec<PerfP
 }
 
 /// Maps each benchmark with every portfolio strategy, bracketing each
-/// run with op-counter snapshots. Rows run sequentially so the
-/// per-row deltas are exact (the mapper inside still uses `noc-par`);
-/// every recorded field is schedule-independent.
+/// run with op-counter snapshots; every recorded field is
+/// schedule-independent.
 fn run_frontier(benches: &[LabeledBench]) -> Result<Vec<FrontierPoint>, FlowError> {
     let spec = TdmaSpec::paper_default();
     let opts = MapperOptions::default();
@@ -884,9 +882,8 @@ const SERVICE_FABRICS: [(&str, u16, u16, u16); 2] =
     [("mesh-4x4", 4, 4, 1), ("bneck-2x1x8", 2, 1, 8)];
 
 /// Replays the seeded trace once per fabric × admission mode,
-/// bracketing each replay with op-counter snapshots. Rows run
-/// sequentially so the per-row deltas are exact; every recorded field
-/// is schedule-independent.
+/// bracketing each replay with op-counter snapshots; every recorded
+/// field is schedule-independent.
 fn run_service(
     requests: u64,
     seed: u64,

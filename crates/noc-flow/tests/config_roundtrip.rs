@@ -1,10 +1,10 @@
-//! Serde/text round-trip coverage for [`FlowConfig`] and every
-//! registered [`ExperimentSpec`].
+//! Text round-trip coverage for [`FlowConfig`] and every registered
+//! [`ExperimentSpec`].
 //!
-//! The offline `serde` shim has no format backend, so the wire format
-//! is the crate's line-oriented text grammar; these tests prove it is
-//! lossless for every spec the project actually ships, plus edge cases
-//! (traces, pooled benchmarks, option-less stages).
+//! The wire format is the crate's line-oriented text grammar; these
+//! tests prove it is lossless for every spec the project actually
+//! ships, plus edge cases (traces, pooled benchmarks, option-less
+//! stages).
 
 use noc_flow::config::{
     experiment_from_text, experiment_to_text, flow_from_text, flow_to_text, spec_from_text,

@@ -1,15 +1,21 @@
-//! `noc-obs` — deterministic span tracing for the NoC mapping stack.
+//! `noc-obs` — deterministic work counters and span tracing for the
+//! NoC mapping stack.
 //!
-//! The perf counters (`nocmap::perf`, `BENCH_nocmap.json`) say how much
-//! work the stack does; this crate says **where it nests**: scoped spans
-//! with parent/child structure, typed attributes, and two cost fields
-//! per span — wall-clock nanoseconds (for humans) and an **op-clock**
-//! delta (for goldens). The op-clock is a per-thread counter ticked by
-//! instrumented code ([`tick`]) in units of deterministic algorithmic
-//! work (the `nocmap::perf` counter increments, simulation cycles, …),
-//! so in [`TraceMode::Ops`] a trace is a pure function of the workload:
-//! byte-identical at any `noc-par` thread count, golden-testable like
-//! every other output of this workspace.
+//! Two layers share one store:
+//!
+//! * **Counters** ([`count`], [`Counter`], [`counts`]): one thread-local
+//!   vector of deterministic work counts (path queries, Dijkstra pops,
+//!   slot-word tests, simulated cycles, …). `nocmap::perf` reads it as
+//!   its `PerfSnapshot`; `noc-par` hands a pool worker's counts back to
+//!   the region's caller, so a thread's counters are exact for the work
+//!   it asked for, whatever else runs in the process.
+//! * **Spans** ([`span`], [`install`], [`finish`]): scoped spans with
+//!   parent/child structure, typed attributes, and two cost fields per
+//!   span — wall-clock nanoseconds (for humans) and an **op-clock**
+//!   delta (for goldens). The op clock is the sum of the op counters
+//!   (see [`Counter`]), so in [`TraceMode::Ops`] a trace is a pure
+//!   function of the workload: byte-identical at any `noc-par` thread
+//!   count, golden-testable like every other output of this workspace.
 //!
 //! # Span model
 //!
@@ -26,23 +32,23 @@
 //! * Span ids are assigned at finalize time by a preorder walk of the
 //!   merged tree, so they are stable too.
 //!
-//! # Determinism of the op-clock
+//! # Determinism of the op clock
 //!
-//! The op-clock is thread-local. [`TaskSet::run`] saves and restores the
-//! executing thread's clock around every lane, so a lane that happens to
-//! run inline on the caller (width 1, or a saturated pool) never
-//! inflates the parent span's delta — the parent's *self* cost and each
-//! lane's cost are schedule-independent. In [`TraceMode::Ops`] wall
-//! fields are not even sampled (they export as zero), which is what
-//! makes the whole artifact byte-stable.
+//! [`TaskSet::run`] records each lane's op-clock delta. A lane run on
+//! another thread must have its counts handed back to the region's
+//! caller ([`measure`] there, [`absorb`] here) before the enclosing span
+//! closes — `noc-par` does this for every region. A span's total is then
+//! its op-clock delta, whichever thread ran its lanes, and its self cost
+//! is that total minus its children's and lanes' work. In
+//! [`TraceMode::Ops`] wall fields are not even sampled (they export as
+//! zero), which is what makes the whole artifact byte-stable.
 //!
 //! # Pay-for-use
 //!
-//! With no collector [`install`]ed, [`span`] and [`tick`] cost a few
-//! predictable branches (one relaxed atomic load for `tick`, one
-//! thread-local probe for `span`) and never allocate — hot loops keep
-//! their allocation-free guarantee. `tests` pin this with the
-//! `nocmap::perf` counters.
+//! Counting is one thread-local add. With no collector [`install`]ed,
+//! [`span`] costs one thread-local probe and never allocates — hot
+//! loops keep their allocation-free guarantee, and the
+//! [`Counter::TraceSpans`] count stays zero.
 //!
 //! `docs/OBSERVABILITY.md` documents the model, the exporters, and the
 //! determinism contract in full.
@@ -50,16 +56,13 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod counter;
 mod record;
 mod trace;
 
-pub use record::{
-    active, finish, install, recording, span, task_set, untraced, AttrValue, Span, TaskSet,
-};
+pub use counter::{absorb, count, counts, measure, Counter, Counts};
+pub use record::{active, finish, install, recording, span, task_set, AttrValue, Span, TaskSet};
 pub use trace::{Attr, SpanNode, Trace};
-
-use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Export/determinism mode a collector is installed with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,58 +74,6 @@ pub enum TraceMode {
     /// Human mode: real wall-clock timestamps and lane ids, plus the
     /// schedule-class attributes. Not byte-stable across runs.
     Wall,
-}
-
-/// `true` while a collector is installed (drives the [`tick`] fast
-/// path); set/cleared by [`install`] / [`finish`].
-pub(crate) static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Spans recorded since the last [`reset_span_count`], process-wide.
-/// Zero while tracing is off — `nocmap::perf` folds this in as its
-/// `trace_spans` counter, which is how the bench trajectory proves
-/// tracing is pay-for-use.
-static SPANS_RECORDED: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// The op-clock: a per-thread work counter in instrumentation units.
-    static OP_CLOCK: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Advances the calling thread's op-clock by `n` work units.
-///
-/// A no-op (one relaxed atomic load) while no collector is installed.
-/// Instrumented code calls this wherever it counts deterministic work —
-/// `nocmap::perf` forwards every counter increment here.
-#[inline]
-pub fn tick(n: u64) {
-    if ENABLED.load(Ordering::Relaxed) {
-        OP_CLOCK.with(|c| c.set(c.get().wrapping_add(n)));
-    }
-}
-
-/// Reads the calling thread's op-clock.
-pub(crate) fn clock_read() -> u64 {
-    OP_CLOCK.with(Cell::get)
-}
-
-/// Overwrites the calling thread's op-clock (lane save/restore).
-pub(crate) fn clock_set(value: u64) {
-    OP_CLOCK.with(|c| c.set(value));
-}
-
-/// Spans recorded process-wide since the last [`reset_span_count`].
-/// Stays zero while no collector is installed.
-pub fn span_count() -> u64 {
-    SPANS_RECORDED.load(Ordering::Relaxed)
-}
-
-/// Resets [`span_count`] to zero (test/perf harnesses only).
-pub fn reset_span_count() {
-    SPANS_RECORDED.store(0, Ordering::Relaxed);
-}
-
-pub(crate) fn count_span() {
-    SPANS_RECORDED.fetch_add(1, Ordering::Relaxed);
 }
 
 /// FNV-1a over `bytes` — the workspace's stable 64-bit digest (config
@@ -152,6 +103,15 @@ mod tests {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
+    /// `n` units of op-counted work.
+    fn work(n: u64) {
+        count(Counter::SimCycles, n);
+    }
+
+    fn spans_counted() -> u64 {
+        counts()[Counter::TraceSpans]
+    }
+
     #[test]
     fn fnv1a_is_stable_and_input_sensitive() {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
@@ -162,15 +122,15 @@ mod tests {
     #[test]
     fn tracing_is_inert_without_a_collector() {
         let _guard = collector_test();
-        let spans_before = span_count();
+        let spans_before = spans_counted();
         let s = span("never-recorded");
         s.attr("k", 1u64);
-        tick(1_000_000);
+        work(1_000_000);
         drop(s);
         let ts = task_set(2);
         assert_eq!(ts.run(0, || 7), 7);
-        assert_eq!(span_count(), spans_before, "no collector, no spans");
-        assert_eq!(clock_read(), 0, "tick must be a no-op while disabled");
+        assert!(!recording());
+        assert_eq!(spans_counted(), spans_before, "no collector, no spans");
     }
 
     #[test]
@@ -183,11 +143,11 @@ mod tests {
             a.attr("kind", "outer");
             {
                 let _b = span("b");
-                tick(5);
+                work(5);
             }
             {
                 let _c = span("c");
-                tick(2);
+                work(2);
             }
         }
         let trace = finish().expect("collector was installed");
@@ -215,11 +175,11 @@ mod tests {
             // Execute lane 1 before lane 0: the tree must not care.
             ts.run(1, || {
                 let _s = span("second");
-                tick(20);
+                work(20);
             });
             ts.run(0, || {
                 let _s = span("first");
-                tick(10);
+                work(10);
             });
         }
         let trace = finish().unwrap();
@@ -231,15 +191,15 @@ mod tests {
     }
 
     #[test]
-    fn lane_clock_save_restore_keeps_parent_self_cost_schedule_free() {
+    fn inline_lane_work_counts_toward_total_not_parent_self() {
         let _guard = collector_test();
         assert!(install(TraceMode::Ops));
         {
             let _p = span("parent");
-            tick(5);
+            work(5);
             let ts = task_set(1);
-            ts.run(0, || tick(100)); // inline lane, like a width-1 region
-            tick(3);
+            ts.run(0, || work(100)); // inline lane, like a width-1 region
+            work(3);
         }
         let trace = finish().unwrap();
         let p = &trace.roots[0];
@@ -255,43 +215,30 @@ mod tests {
             let _region = span("region");
             let ts = task_set(2);
             std::thread::scope(|s| {
-                s.spawn(|| {
-                    ts.run(1, || {
-                        let sp = span("worker-lane");
-                        sp.attr("lane", 1u64);
-                        tick(40);
+                let worker = s.spawn(|| {
+                    let ((), counted) = measure(|| {
+                        ts.run(1, || {
+                            let sp = span("worker-lane");
+                            sp.attr("lane", 1u64);
+                            work(40);
+                        });
                     });
+                    counted
                 });
                 ts.run(0, || {
                     let _sp = span("caller-lane");
-                    tick(4);
+                    work(4);
                 });
+                // The lane protocol: off-thread lane work is handed back
+                // to the caller before the enclosing span closes.
+                absorb(&worker.join().unwrap());
             });
         }
         let trace = finish().unwrap();
         let region = &trace.roots[0];
         let names: Vec<&str> = region.children.iter().map(|c| c.name).collect();
         assert_eq!(names, ["caller-lane", "worker-lane"]);
-        assert_eq!(region.ops_total, 44);
-    }
-
-    #[test]
-    fn untraced_discards_events_and_clock_drift() {
-        let _guard = collector_test();
-        assert!(install(TraceMode::Ops));
-        {
-            let _p = span("parent");
-            tick(1);
-            untraced(|| {
-                let _hidden = span("hidden");
-                tick(1_000);
-            });
-            tick(2);
-        }
-        let trace = finish().unwrap();
-        let p = &trace.roots[0];
-        assert_eq!(p.children.len(), 0, "untraced spans are dropped");
-        assert_eq!(p.ops_total, 3, "untraced ticks don't count");
+        assert_eq!((region.ops_total, region.ops_self), (44, 0));
     }
 
     #[test]
@@ -308,7 +255,7 @@ mod tests {
                     ts.run(lane, || {
                         let s = span("task");
                         s.attr("index", lane as u64);
-                        tick(10 * (lane as u64 + 1));
+                        work(10 * (lane as u64 + 1));
                     });
                 }
             }
@@ -332,17 +279,15 @@ mod tests {
     }
 
     #[test]
-    fn span_count_tracks_recorded_spans() {
+    fn trace_spans_counts_recorded_spans() {
         let _guard = collector_test();
-        reset_span_count();
+        let before = spans_counted();
         assert!(install(TraceMode::Ops));
         {
             let _a = span("a");
             let _b = span("b");
         }
-        assert_eq!(span_count(), 2);
         let _ = finish();
-        reset_span_count();
-        assert_eq!(span_count(), 0);
+        assert_eq!(spans_counted() - before, 2);
     }
 }

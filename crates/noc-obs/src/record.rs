@@ -2,12 +2,11 @@
 //! span guards, and the [`TaskSet`] lane protocol.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::{clock_read, clock_set, count_span, trace, TraceMode, ENABLED};
+use crate::counter::{count, ops, Counter};
+use crate::{trace, TraceMode};
 
 /// One typed attribute value.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,8 +95,8 @@ pub(crate) enum Event {
     /// A [`TaskSet`] was created here: splice its lanes under the span
     /// open at this position.
     Tasks {
-        /// Registry key of the lane set.
-        id: u64,
+        /// Index of the lane set in [`Shared::lanes`].
+        id: usize,
     },
 }
 
@@ -105,11 +104,10 @@ pub(crate) enum Event {
 pub(crate) struct Shared {
     pub(crate) mode: TraceMode,
     pub(crate) start: Instant,
-    next_task_set: AtomicU64,
-    /// Lane buffers by task-set id; slot `i` holds lane `i`'s events
-    /// plus the lane's final op-clock reading (so lane work outside any
-    /// span still counts toward the enclosing span's total).
-    pub(crate) lanes: Mutex<HashMap<u64, Vec<Option<(Vec<Event>, u64)>>>>,
+    /// Lane buffers by task-set id (the index here); slot `i` holds lane
+    /// `i`'s events plus the lane's op-clock delta (so lane work outside
+    /// any span still counts toward the enclosing span's total).
+    pub(crate) lanes: Mutex<trace::LaneMap>,
 }
 
 /// A per-thread recording cursor: the buffer events go into, plus the
@@ -154,13 +152,10 @@ pub fn install(mode: TraceMode) -> bool {
     let shared = Arc::new(Shared {
         mode,
         start: Instant::now(),
-        next_task_set: AtomicU64::new(1),
-        lanes: Mutex::new(HashMap::new()),
+        lanes: Mutex::new(Vec::new()),
     });
     CURSOR.with(|c| *c.borrow_mut() = Some(Cursor::new(Arc::clone(&shared))));
     *slot = Some(shared);
-    clock_set(0);
-    ENABLED.store(true, Ordering::Release);
     true
 }
 
@@ -170,7 +165,6 @@ pub fn install(mode: TraceMode) -> bool {
 /// collector is installed.
 pub fn finish() -> Option<crate::Trace> {
     let shared = COLLECTOR.lock().unwrap().take()?;
-    ENABLED.store(false, Ordering::Release);
     let root = CURSOR.with(|c| c.borrow_mut().take());
     let root_events = root.map(|c| c.buf).unwrap_or_default();
     let lanes = std::mem::take(&mut *shared.lanes.lock().unwrap());
@@ -179,7 +173,7 @@ pub fn finish() -> Option<crate::Trace> {
 
 /// `true` while a collector is installed (process-wide).
 pub fn active() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    COLLECTOR.lock().unwrap().is_some()
 }
 
 /// `true` when spans opened on the *calling thread* right now would be
@@ -216,9 +210,9 @@ pub fn span(name: &'static str) -> Span {
         cur.buf.push(Event::Begin {
             name,
             wall_ns,
-            ops: clock_read(),
+            ops: ops(),
         });
-        count_span();
+        count(Counter::TraceSpans, 1);
         armed = true;
     });
     Span { armed }
@@ -260,7 +254,7 @@ impl Drop for Span {
             let wall_ns = cur.now_ns();
             cur.buf.push(Event::End {
                 wall_ns,
-                ops: clock_read(),
+                ops: ops(),
             });
         });
     }
@@ -276,7 +270,7 @@ pub struct TaskSet(Option<TaskSetInner>);
 
 struct TaskSetInner {
     shared: Arc<Shared>,
-    id: u64,
+    id: usize,
 }
 
 /// Creates a [`TaskSet`] with `lanes` lanes at the current buffer
@@ -285,26 +279,26 @@ pub fn task_set(lanes: usize) -> TaskSet {
     let mut inner = None;
     with_cursor(|cur| {
         let shared = Arc::clone(&cur.shared);
-        let id = shared.next_task_set.fetch_add(1, Ordering::Relaxed);
-        shared
-            .lanes
-            .lock()
-            .unwrap()
-            .insert(id, (0..lanes).map(|_| None).collect());
+        let id = {
+            let mut sets = shared.lanes.lock().unwrap();
+            sets.push((0..lanes).map(|_| None).collect());
+            sets.len() - 1
+        };
         cur.buf.push(Event::Tasks { id });
         inner = Some(TaskSetInner { shared, id });
     });
     TaskSet(inner)
 }
 
-/// Restores the previous cursor and op-clock when a lane (or an
-/// [`untraced`] section) exits, on both the return and unwind paths; a
-/// lane's buffer is committed to its slot only on clean return.
+/// Restores the previous cursor when a lane exits, on both the return
+/// and unwind paths; a lane's buffer is committed to its slot only on
+/// clean return.
 struct LaneGuard {
     prev: Option<Cursor>,
-    saved_clock: u64,
+    /// Op clock at lane entry.
+    start_ops: u64,
     /// `Some((shared, id, lane))` once the lane should commit its buffer.
-    commit: Option<(Arc<Shared>, u64, usize)>,
+    commit: Option<(Arc<Shared>, usize, usize)>,
 }
 
 impl Drop for LaneGuard {
@@ -313,13 +307,11 @@ impl Drop for LaneGuard {
             let mut slot = c.borrow_mut();
             std::mem::replace(&mut *slot, self.prev.take())
         });
-        let lane_clock = clock_read();
-        clock_set(self.saved_clock);
+        let lane_ops = ops().wrapping_sub(self.start_ops);
         if let (Some((shared, id, lane)), Some(cursor)) = (self.commit.take(), lane_cursor) {
-            if let Some(slots) = shared.lanes.lock().unwrap().get_mut(&id) {
-                if let Some(slot) = slots.get_mut(lane) {
-                    *slot = Some((cursor.buf, lane_clock));
-                }
+            let mut sets = shared.lanes.lock().unwrap();
+            if let Some(slot) = sets.get_mut(id).and_then(|set| set.get_mut(lane)) {
+                *slot = Some((cursor.buf, lane_ops));
             }
         }
     }
@@ -327,10 +319,8 @@ impl Drop for LaneGuard {
 
 impl TaskSet {
     /// Runs `f` as lane `lane`: its events are recorded into a private
-    /// buffer committed to slot `lane`, and the executing thread's
-    /// op-clock is saved and restored around it (so inline execution
-    /// cannot leak lane work into the surrounding span). Inert task
-    /// sets just call `f`.
+    /// buffer committed to slot `lane`, together with the op-clock work
+    /// the lane did. Inert task sets just call `f`.
     pub fn run<R>(&self, lane: usize, f: impl FnOnce() -> R) -> R {
         let Some(inner) = &self.0 else {
             return f();
@@ -341,27 +331,11 @@ impl TaskSet {
         });
         let mut guard = LaneGuard {
             prev,
-            saved_clock: clock_read(),
+            start_ops: ops(),
             commit: None,
         };
-        clock_set(0);
         let result = f();
         guard.commit = Some((Arc::clone(&inner.shared), inner.id, lane));
         result
     }
-}
-
-/// Runs `f` with recording suspended on the calling thread: spans and
-/// ticks inside are discarded, and the op-clock is restored afterwards,
-/// so the surrounding trace is identical whether `f` records nothing
-/// here or runs on a non-recording thread (used by `noc_par::scope`,
-/// whose dynamic tasks have no deterministic lane index).
-pub fn untraced<R>(f: impl FnOnce() -> R) -> R {
-    let prev = CURSOR.with(|c| c.borrow_mut().take());
-    let _guard = LaneGuard {
-        prev,
-        saved_clock: clock_read(),
-        commit: None,
-    };
-    f()
 }

@@ -1,8 +1,6 @@
 //! Finalized traces: tree construction from raw buffers, the text tree
 //! renderer, and the Chrome trace-event JSON writer.
 
-use std::collections::HashMap;
-
 use crate::record::{AttrValue, Event};
 use crate::TraceMode;
 
@@ -61,35 +59,38 @@ struct OpenSpan {
     begin_ops: u64,
     attrs: Vec<Attr>,
     children: Vec<SpanNode>,
-    /// Sum of the *raw* op deltas of direct children recorded inline in
-    /// this same buffer (lane children excluded — their work never
-    /// advanced this buffer's clock).
-    inline_raw: u64,
-    /// Lane work not enclosed in any span inside the lane: it belongs
-    /// to this span's total but to no child.
-    lane_loose: u64,
+    /// Work inside this span that belongs to its children: the totals
+    /// of inline child spans plus the op-clock deltas of the lanes
+    /// spliced under it (lane spans and lane work outside any span).
+    covered: u64,
 }
 
-type LaneMap = HashMap<u64, Vec<Option<(Vec<Event>, u64)>>>;
+/// Lane buffers by task-set id: slot `i` of a set holds lane `i`'s
+/// events and op-clock delta, or `None` if the lane never committed.
+pub(crate) type LaneMap = Vec<Vec<Option<(Vec<Event>, u64)>>>;
 
 /// Parses one buffer into a span forest, recursing into lane buffers at
 /// their `Tasks` markers. `next_lane` numbers buffers in encounter
-/// order, which is deterministic because the tree shape is. Returns the
-/// forest plus the sum of the top-level spans' raw op deltas, which the
-/// caller needs to compute the buffer's loose (unspanned) op count.
+/// order, which is deterministic because the tree shape is.
+///
+/// A span's total is its op-clock delta: by the time it closes, its
+/// lanes' work has been handed back to the recording thread, so the
+/// delta covers inline and lane work alike.
 fn build_buffer(
     events: Vec<Event>,
     lanes: &mut LaneMap,
     next_lane: &mut u32,
     my_lane: u32,
-) -> (Vec<SpanNode>, u64) {
+) -> Vec<SpanNode> {
     let mut roots: Vec<SpanNode> = Vec::new();
-    let mut top_raw: u64 = 0;
     let mut stack: Vec<OpenSpan> = Vec::new();
     let attach = |stack: &mut Vec<OpenSpan>, roots: &mut Vec<SpanNode>, node: SpanNode| match stack
         .last_mut()
     {
-        Some(parent) => parent.children.push(node),
+        Some(parent) => {
+            parent.covered += node.ops_total;
+            parent.children.push(node);
+        }
         None => roots.push(node),
     };
     for event in events {
@@ -100,8 +101,7 @@ fn build_buffer(
                 begin_ops: ops,
                 attrs: Vec::new(),
                 children: Vec::new(),
-                inline_raw: 0,
-                lane_loose: 0,
+                covered: 0,
             }),
             Event::Attr {
                 key,
@@ -118,20 +118,12 @@ fn build_buffer(
             }
             Event::End { wall_ns, ops } => {
                 let open = stack.pop().expect("span events are balanced per buffer");
-                let raw = ops.saturating_sub(open.begin_ops);
-                let ops_self = raw.saturating_sub(open.inline_raw);
-                let ops_total = ops_self
-                    + open.lane_loose
-                    + open.children.iter().map(|c| c.ops_total).sum::<u64>();
-                match stack.last_mut() {
-                    Some(parent) => parent.inline_raw += raw,
-                    None => top_raw += raw,
-                }
+                let ops_total = ops.wrapping_sub(open.begin_ops);
                 let node = SpanNode {
                     id: 0,
                     name: open.name,
                     attrs: open.attrs,
-                    ops_self,
+                    ops_self: ops_total.saturating_sub(open.covered),
                     ops_total,
                     wall_begin_ns: open.begin_wall,
                     wall_end_ns: wall_ns,
@@ -141,23 +133,18 @@ fn build_buffer(
                 attach(&mut stack, &mut roots, node);
             }
             Event::Tasks { id } => {
-                for slot in lanes.remove(&id).unwrap_or_default() {
+                let set = lanes.get_mut(id).map(std::mem::take).unwrap_or_default();
+                for slot in set {
                     let lane_no = *next_lane;
                     *next_lane += 1;
-                    let Some((lane_events, lane_clock)) = slot else {
+                    let Some((lane_events, lane_ops)) = slot else {
                         continue;
                     };
-                    let (nodes, lane_top_raw) =
-                        build_buffer(lane_events, lanes, next_lane, lane_no);
-                    // Lane work counts toward the enclosing span's
-                    // total but not its raw delta (it never advanced
-                    // this buffer's clock): spans become children, and
-                    // lane ops outside any span become `lane_loose`.
-                    let loose = lane_clock.saturating_sub(lane_top_raw);
+                    let nodes = build_buffer(lane_events, lanes, next_lane, lane_no);
                     match stack.last_mut() {
                         Some(open) => {
                             open.children.extend(nodes);
-                            open.lane_loose += loose;
+                            open.covered += lane_ops;
                         }
                         None => roots.extend(nodes),
                     }
@@ -168,14 +155,12 @@ fn build_buffer(
     // An unwound recording can leave spans open; close them at the
     // buffer boundary so a partial trace still finalizes.
     while let Some(open) = stack.pop() {
-        let ops_self = 0;
-        let ops_total = open.lane_loose + open.children.iter().map(|c| c.ops_total).sum::<u64>();
         let node = SpanNode {
             id: 0,
             name: open.name,
             attrs: open.attrs,
-            ops_self,
-            ops_total,
+            ops_self: 0,
+            ops_total: open.covered,
             wall_begin_ns: open.begin_wall,
             wall_end_ns: open.begin_wall,
             lane: my_lane,
@@ -183,7 +168,7 @@ fn build_buffer(
         };
         attach(&mut stack, &mut roots, node);
     }
-    (roots, top_raw)
+    roots
 }
 
 fn assign_ids(nodes: &mut [SpanNode], next: &mut u64) {
@@ -201,7 +186,7 @@ fn assign_ids(nodes: &mut [SpanNode], next: &mut u64) {
 /// then assign preorder ids.
 pub(crate) fn finalize(mode: TraceMode, root_events: Vec<Event>, mut lanes: LaneMap) -> Trace {
     let mut next_lane: u32 = 1;
-    let (mut roots, _top_raw) = build_buffer(root_events, &mut lanes, &mut next_lane, 0);
+    let mut roots = build_buffer(root_events, &mut lanes, &mut next_lane, 0);
     let mut next_id = 0;
     assign_ids(&mut roots, &mut next_id);
     Trace { mode, roots }

@@ -3,9 +3,9 @@
 //!
 //! The container this workspace builds in has no crates.io access, so
 //! `rayon` is unavailable; this crate hand-rolls the small subset the
-//! stack needs: [`join`], scoped [`spawn`](Scope::spawn), and an indexed
-//! [`par_map`] whose results are always reduced **in input order**, so
-//! output is bit-identical regardless of thread count.
+//! stack needs: [`join`] and an indexed [`par_map`] whose results are
+//! always reduced **in input order**, so output is bit-identical
+//! regardless of thread count.
 //!
 //! # Execution model
 //!
@@ -34,6 +34,11 @@
 //! * With an effective thread count of 1 every primitive degenerates to
 //!   plain sequential execution on the calling thread (no threads are
 //!   spawned at all).
+//! * Work counts ([`noc_obs::count`]) follow the work to the caller: a
+//!   pool worker runs its share under [`noc_obs::measure`], and the
+//!   region [`noc_obs::absorb`]s every helper's counts on the calling
+//!   thread before it returns. Work done inline is counted there
+//!   directly, so a width-1 region adds nothing per item.
 //!
 //! Callers remain responsible for making each *task* a pure function of
 //! its inputs (per-task RNG seeds derived from `(base_seed, index)`, no
@@ -83,9 +88,9 @@ thread_local! {
     static LAST_REGION_STATS: Cell<RegionStats> = const { Cell::new(RegionStats::ZERO) };
 }
 
-/// Pool involvement of the most recent [`par_map`], [`join`] or
-/// [`scope`] call that completed on the calling thread. A region that
-/// ran sequentially (width 1, single item) reports [`RegionStats::ZERO`].
+/// Pool involvement of the most recent [`par_map`] or [`join`] call
+/// that completed on the calling thread. A region that ran sequentially
+/// (width 1, single item) reports [`RegionStats::ZERO`].
 pub fn last_region_stats() -> RegionStats {
     LAST_REGION_STATS.with(Cell::get)
 }
@@ -234,10 +239,18 @@ where
     };
     // Helpers draw distinct deque slots 1..threads; the caller is slot 0.
     // A cancelled ticket simply never draws — its deque is drained by
-    // stealing.
+    // stealing. Each helper hands its work counts back to the caller.
     let next_slot = AtomicUsize::new(1);
-    let helper = || worker_loop(next_slot.fetch_add(1, Ordering::Relaxed));
+    let helper_counts = Mutex::new(Vec::new());
+    let helper = || {
+        let ((), counts) =
+            noc_obs::measure(|| worker_loop(next_slot.fetch_add(1, Ordering::Relaxed)));
+        helper_counts.lock().unwrap().push(counts);
+    };
     let stats = run_region(threads - 1, &helper, || worker_loop(0));
+    for counts in helper_counts.into_inner().unwrap() {
+        noc_obs::absorb(&counts);
+    }
     record_region(&span, stats);
     drop(slots_mutex);
 
@@ -294,12 +307,12 @@ where
         return (ra, rb);
     }
     let b_cell: Mutex<Option<B>> = Mutex::new(Some(b));
-    let rb_slot: Mutex<Option<std::thread::Result<RB>>> = Mutex::new(None);
+    let rb_slot: Mutex<Option<std::thread::Result<(RB, noc_obs::Counts)>>> = Mutex::new(None);
     let helper = || {
         let taken = b_cell.lock().unwrap().take();
         if let Some(b) = taken {
             let result = catch_unwind(AssertUnwindSafe(|| {
-                tasks.run(1, || with_threads(threads, b))
+                noc_obs::measure(|| tasks.run(1, || with_threads(threads, b)))
             }));
             *rb_slot.lock().unwrap() = Some(result);
         }
@@ -311,7 +324,10 @@ where
     // After the region, the helper either ran to completion (slot set)
     // or its ticket was cancelled (b still in the cell).
     let rb = match rb_slot.into_inner().unwrap() {
-        Some(Ok(rb)) => rb,
+        Some(Ok((rb, counts))) => {
+            noc_obs::absorb(&counts);
+            rb
+        }
         Some(Err(payload)) => resume_unwind(payload),
         None => {
             let b = b_cell
@@ -322,77 +338,6 @@ where
         }
     };
     (ra, rb)
-}
-
-/// A fork-join scope handed to the closure of [`scope`]: tasks spawned
-/// on it may borrow data living outside the `scope` call and may spawn
-/// further tasks; all of them complete before `scope` returns.
-pub struct Scope<'env> {
-    tasks: Mutex<Vec<Box<dyn FnOnce(&Scope<'env>) + Send + 'env>>>,
-    in_flight: AtomicUsize,
-}
-
-impl<'env> Scope<'env> {
-    /// Queues `task` for execution by the scope's worker team. Spawn
-    /// order is **not** execution order; tasks needing ordered results
-    /// should write into pre-indexed slots (or use [`par_map`]).
-    pub fn spawn(&self, task: impl FnOnce(&Scope<'env>) + Send + 'env) {
-        self.tasks.lock().unwrap().push(Box::new(task));
-    }
-}
-
-/// Creates a fork-join scope: runs `f`, then executes every task spawned
-/// on the scope (including tasks spawned by other tasks) across the
-/// effective thread count, returning `f`'s result once all tasks
-/// finished.
-pub fn scope<'env, R>(f: impl FnOnce(&Scope<'env>) -> R) -> R {
-    let sc = Scope {
-        tasks: Mutex::new(Vec::new()),
-        in_flight: AtomicUsize::new(0),
-    };
-    let result = f(&sc);
-
-    // Decrements `in_flight` even when the task unwinds: a leaked
-    // increment would leave idle workers spinning on "someone is still
-    // running" forever instead of letting the panic propagate.
-    struct InFlight<'a>(&'a AtomicUsize);
-    impl Drop for InFlight<'_> {
-        fn drop(&mut self) {
-            self.0.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-
-    let run_worker = |sc: &Scope<'env>| loop {
-        let task = sc.tasks.lock().unwrap().pop();
-        match task {
-            Some(task) => {
-                sc.in_flight.fetch_add(1, Ordering::SeqCst);
-                let _in_flight = InFlight(&sc.in_flight);
-                task(sc);
-            }
-            // Another worker may still be executing a task that spawns
-            // more; stay alive until the scope is fully quiescent.
-            None if sc.in_flight.load(Ordering::SeqCst) > 0 => std::thread::yield_now(),
-            None => break,
-        }
-    };
-
-    // Scope tasks have no deterministic lane index (spawn order is not
-    // execution order), so their spans are suppressed with `untraced` at
-    // every width — otherwise a width-1 run would record what a width-4
-    // run drops on cursor-less workers, breaking trace determinism.
-    let threads = current_threads();
-    if threads <= 1 {
-        noc_obs::untraced(|| run_worker(&sc));
-        LAST_REGION_STATS.with(|c| c.set(RegionStats::ZERO));
-        return result;
-    }
-    let helper = || with_threads(threads, || run_worker(&sc));
-    let stats = run_region(threads - 1, &helper, || {
-        noc_obs::untraced(|| run_worker(&sc))
-    });
-    LAST_REGION_STATS.with(|c| c.set(stats));
-    result
 }
 
 #[cfg(test)]
@@ -456,26 +401,6 @@ mod tests {
     }
 
     #[test]
-    fn scope_runs_all_spawned_tasks_including_nested() {
-        for threads in [1, 2, 8] {
-            let counter = AtomicUsize::new(0);
-            with_threads(threads, || {
-                scope(|s| {
-                    for _ in 0..10 {
-                        s.spawn(|s| {
-                            counter.fetch_add(1, Ordering::SeqCst);
-                            s.spawn(|_| {
-                                counter.fetch_add(1, Ordering::SeqCst);
-                            });
-                        });
-                    }
-                });
-            });
-            assert_eq!(counter.load(Ordering::SeqCst), 20, "threads = {threads}");
-        }
-    }
-
-    #[test]
     fn with_threads_propagates_into_workers() {
         // Nested regions inside workers must see the caller's override.
         let seen = with_threads(3, || par_map(vec![(); 3], |_, ()| current_threads()));
@@ -488,21 +413,6 @@ mod tests {
         // nested regions inside those tasks still get the full width.
         let seen = with_threads(8, || par_map(vec![(), ()], |_, ()| current_threads()));
         assert_eq!(seen, vec![8, 8]);
-    }
-
-    #[test]
-    fn scope_task_panic_propagates_instead_of_hanging() {
-        let result = std::panic::catch_unwind(|| {
-            with_threads(4, || {
-                scope(|s| {
-                    s.spawn(|_| panic!("task boom"));
-                    for _ in 0..8 {
-                        s.spawn(|_| std::thread::yield_now());
-                    }
-                });
-            })
-        });
-        assert!(result.is_err(), "the panic must reach the caller");
     }
 
     #[test]
@@ -642,7 +552,7 @@ mod tests {
                 par_map((0..8).collect::<Vec<u64>>(), |i, _| {
                     let sp = noc_obs::span("task");
                     sp.attr("index", i);
-                    noc_obs::tick(1 + i as u64);
+                    noc_obs::count(noc_obs::Counter::SimCycles, 1 + i as u64);
                 })
             });
             noc_obs::finish().unwrap().render_text()
@@ -652,6 +562,25 @@ mod tests {
         assert!(baseline.contains("items=8"));
         for threads in [2, 4] {
             assert_eq!(run(threads), baseline, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn pool_work_counts_reach_the_caller() {
+        use noc_obs::{count, counts, Counter};
+        let counted = |threads: usize| {
+            let before = counts()[Counter::DijkstraPops];
+            with_threads(threads, || {
+                par_map((0..64).collect::<Vec<u64>>(), |_, x| {
+                    count(Counter::DijkstraPops, x);
+                    let (_, ()) = join(|| (), || count(Counter::DijkstraPops, 1));
+                })
+            });
+            counts()[Counter::DijkstraPops] - before
+        };
+        let want = (0..64).sum::<u64>() + 64;
+        for threads in [1, 2, 4] {
+            assert_eq!(counted(threads), want, "threads = {threads}");
         }
     }
 

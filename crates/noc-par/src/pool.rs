@@ -10,7 +10,7 @@
 //!
 //! # How a region runs
 //!
-//! A region (one `par_map`, `join` or `scope` call) wanting `w` workers
+//! A region (one `par_map` or `join` call) wanting `w` workers
 //! enqueues `w - 1` *tickets* — claims on helper participation — and then
 //! runs its own share of the work on the calling thread. A pool worker
 //! that pops a ticket runs the region's worker closure to completion.

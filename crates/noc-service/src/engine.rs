@@ -49,6 +49,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Write as _;
 
+use noc_obs::Counter;
 use noc_tdma::TdmaSpec;
 use noc_topology::units::{Bandwidth, Frequency, Latency, LinkWidth};
 use noc_topology::{FaultSet, MeshBuilder, NodeId, Topology};
@@ -479,7 +480,7 @@ impl Engine {
             return Vec::new();
         }
         self.stats.flushes += 1;
-        nocmap::perf::record_batch_flush();
+        noc_obs::count(Counter::BatchFlushes, 1);
         let batch: Vec<(u64, Command)> = self.pending.drain(..).collect();
         batch
             .into_iter()
@@ -549,7 +550,7 @@ impl Engine {
                 }
             }
         }
-        nocmap::perf::record_fault_injections(injected);
+        noc_obs::count(Counter::FaultsInjected, injected);
         let head = format!(
             "#{seq} fault {}: injected={injected} links_failed={} nis_failed={}",
             target.token(),
@@ -647,7 +648,7 @@ impl Engine {
         let mut lines = Vec::with_capacity(ids.len());
         let mut revived = 0u64;
         for id in ids {
-            nocmap::perf::record_heal_attempt();
+            noc_obs::count(Counter::HealsAttempted, 1);
             let Some(at) = self.index_of(&id) else {
                 continue;
             };
@@ -833,12 +834,12 @@ impl Engine {
                 self.ucs.push((id.to_string(), uc.clone()));
                 self.placement = sol.core_mapping().clone();
                 self.configs = sol.group_configs().to_vec();
-                nocmap::perf::record_admission();
-                nocmap::perf::record_displacement_evictions(moved);
+                noc_obs::count(Counter::Admissions, 1);
+                noc_obs::count(Counter::DisplacementEvictions, moved);
                 Ok((sol.comm_cost_bytes_hops(), placed, moved))
             }
             Err(e) => {
-                nocmap::perf::record_rejection();
+                noc_obs::count(Counter::Rejections, 1);
                 Err(format!("unroutable: {e}"))
             }
         }

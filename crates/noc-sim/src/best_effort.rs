@@ -84,9 +84,9 @@ pub fn simulate_mixed(
     span.attr("gt", guaranteed.len());
     span.attr("be", best_effort.len());
     span.attr("cycles", cycles);
-    // The BE wheel below costs one op-clock unit per cycle (the GT side
-    // ticks inside `simulate_connections`).
-    noc_obs::tick(cycles);
+    // The BE wheel below costs one cycle-step per cycle (the GT side
+    // counts its own inside `simulate_connections`).
+    noc_obs::count(noc_obs::Counter::SimCycles, cycles);
     let slots = spec.slots();
 
     // The GT side runs exactly as in the pure-GT engine.

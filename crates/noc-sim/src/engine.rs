@@ -97,9 +97,12 @@ pub fn simulate_connections(
     connections: &[Connection],
     config: &SimConfig,
 ) -> SimReport {
-    // Op-clock cost of the engine: one unit per (cycle, connection) step
-    // of the main loop — a deterministic function of the inputs.
-    noc_obs::tick(config.cycles.saturating_mul(connections.len() as u64));
+    // One simulated cycle-step per (cycle, connection) of the main loop
+    // — a deterministic function of the inputs.
+    noc_obs::count(
+        noc_obs::Counter::SimCycles,
+        config.cycles.saturating_mul(connections.len() as u64),
+    );
     let slots = spec.slots();
     let slack = config.slack_cycles(slots);
 

@@ -21,9 +21,11 @@
 //! * slot search over a path with [`NetworkSlots::find_base_slots`] and the
 //!   reservation/release pair,
 //! * bandwidth⇄slot conversions and worst-case latency bounds for GT
-//!   connections,
-//! * [`stats`] — process-global counters for the word-wise conflict folds,
-//!   folded into `nocmap`'s perf snapshots.
+//!   connections.
+//!
+//! Every combined-occupancy fold counts its work in the calling
+//! thread's `noc-obs` counters ([`noc_obs::Counter::ConflictWordTests`]
+//! and [`noc_obs::Counter::LegacySlotProbes`]).
 //!
 //! # Example
 //!
@@ -66,7 +68,6 @@ mod error;
 mod mask;
 mod network;
 mod spec;
-pub mod stats;
 mod table;
 
 pub use error::TdmaError;

@@ -22,8 +22,6 @@
 //! audits, and per-group cloned state shrinks from `S × Option<ConnId>`
 //! words to `S` bits plus the live reservations.
 
-use serde::{Deserialize, Serialize};
-
 /// A fixed-size bitset of `len` bits packed into `u64` words.
 ///
 /// Bit indices run `0..len`. All operations stay within `len` bits;
@@ -39,7 +37,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(m.test(127) && !m.test(64));
 /// assert_eq!(m.count_ones(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SlotMask {
     words: Vec<u64>,
     len: usize,
@@ -229,7 +227,7 @@ impl SlotMask {
 /// (occupy only free slots, release only taken ones) `debug_assert`ed
 /// in one place, with the underlying mask exposed for the word-wise
 /// path merges of `NetworkSlots`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct OccupancyMask {
     mask: SlotMask,
 }

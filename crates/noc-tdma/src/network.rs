@@ -1,16 +1,15 @@
 //! Per-use-case slot state over all links of a topology.
 
+use noc_obs::Counter;
 use noc_topology::{LinkId, Topology};
-use serde::{Deserialize, Serialize};
 
 use crate::error::TdmaError;
 use crate::mask::SlotMask;
 use crate::spec::TdmaSpec;
-use crate::stats;
 use crate::table::{ConnId, SlotTable};
 
 /// How to pick base slots among the feasible candidates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SlotPolicy {
     /// Take the lowest-numbered candidates. Fast, but clusters slots and so
     /// produces poor worst-case latencies.
@@ -40,7 +39,7 @@ pub enum SlotPolicy {
 /// `(s + i) % S` wraparound of the pipelined slot-advance rule is folded
 /// into the rotation — a handful of `u64` word ops per link instead of a
 /// modulo per probed slot.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetworkSlots {
     tables: Vec<SlotTable>,
     slots_per_table: usize,
@@ -102,7 +101,14 @@ impl NetworkSlots {
         for (i, &l) in path.iter().enumerate() {
             acc.or_rotated(self.tables[l.index()].occupancy().mask(), i);
         }
-        stats::record_fold(path.len(), acc.word_count(), self.slots_per_table);
+        noc_obs::count(
+            Counter::ConflictWordTests,
+            (path.len() * acc.word_count()) as u64,
+        );
+        noc_obs::count(
+            Counter::LegacySlotProbes,
+            (path.len() * self.slots_per_table) as u64,
+        );
         acc
     }
 
@@ -467,15 +473,11 @@ mod tests {
     fn fold_counters_advance() {
         let (topo, path, spec) = setup();
         let ns = NetworkSlots::new(&topo, &spec);
-        let (w0, p0) = (
-            crate::stats::conflict_word_tests(),
-            crate::stats::legacy_slot_probes(),
-        );
-        let _ = ns.free_base_slots(&path);
-        // 3 links, 8 slots: one word each, 8 legacy probes each. Other
-        // tests in this binary fold concurrently (the counters are
-        // process-global), so assert lower bounds, not exact deltas.
-        assert!(crate::stats::conflict_word_tests() - w0 >= 3);
-        assert!(crate::stats::legacy_slot_probes() - p0 >= 24);
+        let ((), counted) = noc_obs::measure(|| {
+            let _ = ns.free_base_slots(&path);
+        });
+        // 3 links, 8 slots: one word each, 8 legacy probes each.
+        assert_eq!(counted[Counter::ConflictWordTests], 3);
+        assert_eq!(counted[Counter::LegacySlotProbes], 24);
     }
 }

@@ -1,7 +1,6 @@
 //! Global TDMA parameters of a NoC instance.
 
 use noc_topology::units::{Bandwidth, Frequency, Latency, LinkWidth};
-use serde::{Deserialize, Serialize};
 
 /// The TDMA configuration shared by every link of a NoC: table size, clock
 /// frequency and link width.
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(spec.slot_bandwidth(), Bandwidth::from_mbps(125));
 /// assert_eq!(spec.slots_for_bandwidth(Bandwidth::from_mbps(200)), 2);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TdmaSpec {
     slots: usize,
     frequency: Frequency,

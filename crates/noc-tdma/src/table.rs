@@ -2,14 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::mask::OccupancyMask;
 
 /// Identifier of a GT connection, chosen by the caller (the mapper packs a
 /// use-case index and flow index into one id). Slot tables record the owner
 /// of every reserved slot so configurations can be audited and released.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ConnId(u64);
 
 impl ConnId {
@@ -52,7 +50,7 @@ impl fmt::Display for ConnId {
 /// out-of-range index — through this type and never panic; **read-only
 /// accessors** ([`SlotTable::is_free`], [`SlotTable::owner`]) panic on
 /// out-of-range indices, uniformly documented.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SlotError {
     /// The slot index does not exist in a table of `size` slots.
     OutOfRange {
@@ -110,7 +108,7 @@ impl std::error::Error for SlotError {}
 /// t.release(3, ConnId::new(1)).unwrap();
 /// assert_eq!(t.free_count(), 8);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlotTable {
     occupancy: OccupancyMask,
     /// `(slot, owner)` pairs sorted by slot — the side index backing

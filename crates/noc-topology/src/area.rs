@@ -16,8 +16,6 @@
 //! in line with the DATE'03 Æthereal GT–BE router report, which is the
 //! router family the paper targets.
 
-use serde::{Deserialize, Serialize};
-
 use crate::graph::Topology;
 use crate::units::Frequency;
 
@@ -34,7 +32,7 @@ use crate::units::Frequency;
 /// // More ports cost area superlinearly.
 /// assert!(model.switch_area_mm2(10, Frequency::from_mhz(500)) > 2.0 * a);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaModel {
     /// Fixed control overhead per switch (mm²).
     pub base_mm2: f64,

@@ -7,15 +7,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TopologyError;
 
 /// Identifier of a node (switch or NI) inside one [`Topology`].
 ///
 /// Ids are dense indices assigned in insertion order; they are only
 /// meaningful within the topology that produced them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(u32);
 
 impl NodeId {
@@ -36,7 +34,7 @@ impl fmt::Display for NodeId {
 }
 
 /// Identifier of a directed link inside one [`Topology`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(u32);
 
 impl LinkId {
@@ -57,7 +55,7 @@ impl fmt::Display for LinkId {
 }
 
 /// What a topology node is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// A packet switch (router). `x`/`y` are grid coordinates for mesh
     /// topologies and are informational for irregular ones.
@@ -77,7 +75,7 @@ pub enum NodeKind {
 }
 
 /// A node of the NoC graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Node {
     id: NodeId,
     kind: NodeKind,
@@ -106,7 +104,7 @@ impl Node {
 }
 
 /// A unidirectional link between two nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Link {
     id: LinkId,
     src: NodeId,
@@ -152,7 +150,7 @@ impl Link {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     nodes: Vec<Node>,
     links: Vec<Link>,

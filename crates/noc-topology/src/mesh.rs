@@ -5,8 +5,6 @@
 //! module provides the mesh generator for that outer loop, plus the size
 //! enumeration order used there (1×1, 1×2, 2×2, 2×3, 3×3, …).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TopologyError;
 use crate::graph::{NodeId, Topology, TopologyBuilder};
 
@@ -28,7 +26,7 @@ use crate::graph::{NodeId, Topology, TopologyBuilder};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mesh {
     rows: u16,
     cols: u16,

@@ -17,13 +17,11 @@
 //! absolute model in [`PowerModel`] exists so reports can also quote mW
 //! figures; all paper comparisons (Figure 7(b)) are relative.
 
-use serde::{Deserialize, Serialize};
-
 use crate::graph::Topology;
 use crate::units::Frequency;
 
 /// An operating point: a frequency and its (derived) supply voltage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// Clock frequency.
     pub frequency: Frequency,
@@ -44,7 +42,7 @@ pub struct OperatingPoint {
 /// // Power scales by (f/f0)² = 1/16.
 /// assert!((dvs.relative_power(Frequency::from_mhz(125), Frequency::from_mhz(500)) - 1.0 / 16.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DvsModel {
     nominal_freq: Frequency,
     nominal_voltage: f64,
@@ -131,7 +129,7 @@ impl Default for DvsModel {
 /// coefficients loosely calibrated so a 2×2 mesh at 500 MHz / 1.2 V draws
 /// on the order of tens of mW — consistent with published Æthereal figures.
 /// Only *relative* numbers are used in the paper's experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     /// Switch capacitance coefficient, mW per (GHz · V² · port).
     pub switch_mw_per_ghz_v2_port: f64,

@@ -16,8 +16,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A bandwidth quantity, stored in bytes per second.
 ///
 /// The paper quotes flow bandwidths in MB/s (decimal megabytes); use
@@ -30,9 +28,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(hd_stream.as_bytes_per_sec(), 200_000_000);
 /// assert_eq!(format!("{hd_stream}"), "200 MB/s");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Bandwidth(u64);
 
 impl Bandwidth {
@@ -164,9 +160,7 @@ impl fmt::Display for Bandwidth {
 /// assert_eq!(f.as_hz(), 500_000_000);
 /// assert_eq!(format!("{f}"), "500 MHz");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Frequency(u64);
 
 impl Frequency {
@@ -245,9 +239,7 @@ impl fmt::Display for Frequency {
 /// let deadline = Latency::from_us(1);
 /// assert_eq!(deadline.as_ns(), 1_000);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Latency(u64);
 
 impl Latency {
@@ -301,7 +293,7 @@ impl fmt::Display for Latency {
 ///
 /// The paper fixes links to 32 bits for the switch-count comparison
 /// (Section 6.2); [`LinkWidth::BITS_32`] is that default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkWidth(u32);
 
 impl LinkWidth {

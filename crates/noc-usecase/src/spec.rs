@@ -4,7 +4,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use noc_topology::units::{Bandwidth, Latency};
-use serde::{Deserialize, Serialize};
 
 use crate::error::SpecError;
 
@@ -13,7 +12,7 @@ use crate::error::SpecError;
 /// Core ids are global to the SoC: the same core appears in several
 /// use-cases under the same id, which is what lets the mapper share one
 /// core→NI mapping across all use-cases.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CoreId(u32);
 
 impl CoreId {
@@ -40,7 +39,7 @@ impl fmt::Display for CoreId {
 }
 
 /// Identifier of a use-case within a [`SocSpec`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct UseCaseId(u32);
 
 impl UseCaseId {
@@ -67,7 +66,7 @@ impl fmt::Display for UseCaseId {
 }
 
 /// Identifier of a flow within one use-case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowId(u32);
 
 impl FlowId {
@@ -96,7 +95,7 @@ impl fmt::Display for FlowId {
 /// A directed traffic flow between two cores with its design constraints:
 /// a maximum traffic rate (`bandwidth`, written `bw_{i,j}` in the paper)
 /// and a worst-case packet-delay bound (`latency`, `lat_{i,j}`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Flow {
     src: CoreId,
     dst: CoreId,
@@ -168,34 +167,11 @@ impl fmt::Display for Flow {
 /// At most one flow exists per directed `(src, dst)` pair — the paper's
 /// compound-mode arithmetic and step 5 of Algorithm 2 ("choose the flow
 /// that has the same source and destination vertices") both rely on that.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(from = "UseCaseRepr", into = "UseCaseRepr")]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UseCase {
     name: String,
     flows: Vec<Flow>,
     by_pair: BTreeMap<(CoreId, CoreId), FlowId>,
-}
-
-/// Serialized shape of a [`UseCase`]; the pair index is rebuilt on load.
-#[derive(Serialize, Deserialize)]
-struct UseCaseRepr {
-    name: String,
-    flows: Vec<Flow>,
-}
-
-impl From<UseCaseRepr> for UseCase {
-    fn from(r: UseCaseRepr) -> Self {
-        UseCase::from_parts(r.name, r.flows)
-    }
-}
-
-impl From<UseCase> for UseCaseRepr {
-    fn from(u: UseCase) -> Self {
-        UseCaseRepr {
-            name: u.name,
-            flows: u.flows,
-        }
-    }
 }
 
 impl UseCase {
@@ -341,7 +317,7 @@ impl UseCaseBuilder {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SocSpec {
     name: String,
     use_cases: Vec<UseCase>,
@@ -520,23 +496,5 @@ mod tests {
         )
         .unwrap();
         assert_eq!(format!("{f}"), "core0 -> core1 @ 100 MB/s");
-    }
-
-    #[test]
-    fn use_case_repr_roundtrip_rebuilds_index() {
-        let c = |i| CoreId::new(i);
-        let uc = UseCaseBuilder::new("u")
-            .flow(c(0), c(1), bw(10), Latency::UNCONSTRAINED)
-            .unwrap()
-            .build();
-        // Exercise the serde conversion path directly: the pair index must
-        // be rebuilt from the flow list.
-        let repr = UseCaseRepr::from(uc.clone());
-        let restored = UseCase::from(repr);
-        assert_eq!(restored, uc);
-        assert_eq!(
-            restored.flow_between(c(0), c(1)).unwrap().bandwidth(),
-            bw(10)
-        );
     }
 }

@@ -12,8 +12,6 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use crate::spec::UseCaseId;
 
 /// The undirected switching graph `SG(SV, SE)` over use-cases.
@@ -33,7 +31,7 @@ use crate::spec::UseCaseId;
 /// assert_eq!(groups.group_of(u(0)), groups.group_of(u(8)));
 /// assert_ne!(groups.group_of(u(0)), groups.group_of(u(7)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SwitchingGraph {
     vertices: usize,
     adjacency: Vec<BTreeSet<usize>>,
@@ -132,7 +130,7 @@ impl SwitchingGraph {
 /// The result of Algorithm 1: a partition of use-cases into configuration
 /// groups. Use-cases in one group share paths and slot tables; the NoC may
 /// be reconfigured when switching between groups.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UseCaseGroups {
     /// Group index per use-case (dense).
     group_of: Vec<usize>,

@@ -1,9 +1,10 @@
-//! Op-counter regression tests for the allocation-free hot loops.
+//! Op-counter regression tests for the allocation-free hot loops, and
+//! for the counters themselves.
 //!
-//! The counters (`nocmap::perf`) are process-global, so this file keeps
-//! everything inside **one** test function (integration-test files are
-//! separate binaries, and a single `#[test]` cannot race itself): exact
-//! deltas stay exact.
+//! The counters (`nocmap::perf`, backed by `noc-obs`) are per thread,
+//! and `noc-par` hands pool workers' counts back to the region's
+//! caller, so a `snapshot().since(..)` delta is exact for the calling
+//! thread even while other tests in this binary map concurrently.
 //!
 //! What is pinned here:
 //!
@@ -18,16 +19,21 @@
 //!   `route_cache_*` counters at zero, while `refine_cached` records
 //!   hits on revisited placement signatures, saves their re-routes, and
 //!   still returns the byte-identical winner;
-//! * all of those counts are **identical at any thread count**.
+//! * all of those counts are **identical at any thread count**;
+//! * deltas are **exact under concurrency**: two threads mapping at once
+//!   each see exactly the solo run's delta, and work that pool workers
+//!   do is counted on the caller exactly once.
 
 use noc_multiusecase::map::anneal::{refine, refine_cached, AnnealConfig};
 use noc_multiusecase::map::design::design_smallest_mesh;
-use noc_multiusecase::map::{perf, MapperOptions};
-use noc_multiusecase::par::with_threads;
+use noc_multiusecase::map::perf::{self, PerfSnapshot};
+use noc_multiusecase::map::MapperOptions;
+use noc_multiusecase::par::{par_map, with_threads};
 use noc_multiusecase::tdma::TdmaSpec;
 use noc_multiusecase::topology::units::{Bandwidth, Latency};
 use noc_multiusecase::usecase::spec::{CoreId, SocSpec, UseCaseBuilder};
 use noc_multiusecase::usecase::UseCaseGroups;
+use std::sync::Barrier;
 
 /// Two use-cases over **disjoint** core sets: a swap touching only one
 /// side must leave the other group's configuration spliced, not
@@ -165,4 +171,95 @@ fn hot_loops_are_delta_evaluated_and_allocation_free() {
         cached_seq, cached_par,
         "cache hit/miss counts must be schedule-independent"
     );
+}
+
+/// The disjoint SoC mapped onto the smallest mesh, with its counter
+/// delta as seen by the calling thread.
+fn design_delta(threads: usize) -> PerfSnapshot {
+    let soc = disjoint_soc();
+    let groups = UseCaseGroups::singletons(2);
+    let before = perf::snapshot();
+    with_threads(threads, || {
+        design_smallest_mesh(
+            &soc,
+            &groups,
+            TdmaSpec::paper_default(),
+            &MapperOptions::default(),
+            64,
+        )
+        .expect("tiny spec maps")
+    });
+    perf::snapshot().since(&before)
+}
+
+#[test]
+fn concurrent_threads_each_count_only_their_own_work() {
+    let solo = design_delta(4);
+    assert!(solo.path_queries > 0);
+    let barrier = Barrier::new(2);
+    let deltas: Vec<PerfSnapshot> = std::thread::scope(|s| {
+        let runs: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    barrier.wait();
+                    design_delta(4)
+                })
+            })
+            .collect();
+        runs.into_iter().map(|run| run.join().unwrap()).collect()
+    });
+    assert_eq!(
+        deltas,
+        [solo, solo],
+        "a thread's delta must not include another thread's work"
+    );
+}
+
+/// Maps the disjoint SoC once per item of a `par_map` at `threads`
+/// workers. Returns the caller's counter delta and whether any item ran
+/// off the calling thread.
+fn par_map_delta(threads: usize) -> (PerfSnapshot, bool) {
+    let caller = std::thread::current().id();
+    let before = perf::snapshot();
+    let off_caller = with_threads(threads, || {
+        par_map((0..8).collect::<Vec<u32>>(), |_, _| {
+            design_delta(1);
+            std::thread::current().id() != caller
+        })
+    });
+    (perf::snapshot().since(&before), off_caller.contains(&true))
+}
+
+#[test]
+fn pool_worker_counts_reach_the_caller() {
+    let (seq, seq_off_caller) = par_map_delta(1);
+    assert!(!seq_off_caller, "width 1 runs every item on the caller");
+    assert!(seq.full_maps >= 8, "every item maps at least once");
+    // Another thread maps meanwhile; none of its work may show up here.
+    let barrier = Barrier::new(2);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            barrier.wait();
+            for _ in 0..16 {
+                design_delta(4);
+            }
+        });
+        barrier.wait();
+        // Every width-4 run must match; repeat until one provably ran
+        // items on pool workers (a busy pool may leave all of them to
+        // the caller).
+        let mut exercised = false;
+        for _ in 0..50 {
+            let (par, off_caller) = par_map_delta(4);
+            assert_eq!(par, seq, "pool work must be counted on the caller once");
+            if off_caller {
+                exercised = true;
+                break;
+            }
+        }
+        assert!(
+            exercised,
+            "no item of 50 width-4 regions ran on a pool worker"
+        );
+    });
 }
