@@ -37,7 +37,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use noc_obs::{count, Counter};
-use noc_topology::NodeId;
+use noc_topology::{DegradedView, NodeId};
 use noc_usecase::spec::{CoreId, SocSpec};
 use noc_usecase::UseCaseGroups;
 
@@ -285,14 +285,7 @@ pub fn admit_group(
                     .collect();
                 movers.sort_by_key(|&c| (Reverse(weights.get(&c).copied().unwrap_or(0)), c));
                 let Some(step) = displacement_step(
-                    topo,
-                    &options.faults,
-                    base,
-                    &placement,
-                    &relocated,
-                    &tried,
-                    &movers,
-                    budget,
+                    degraded, base, &placement, &relocated, &tried, &movers, budget,
                 ) else {
                     break;
                 };
@@ -329,8 +322,7 @@ pub fn admit_group(
 /// then NI index. Failed NIs are never targets.
 #[allow(clippy::too_many_arguments)]
 fn displacement_step(
-    topo: &noc_topology::Topology,
-    faults: &noc_topology::FaultSet,
+    view: DegradedView<'_>,
     base: &MappingSolution,
     placement: &BTreeMap<CoreId, NodeId>,
     relocated: &BTreeSet<CoreId>,
@@ -338,7 +330,6 @@ fn displacement_step(
     movers: &[CoreId],
     budget: u64,
 ) -> Option<(CoreId, NodeId)> {
-    let degraded = topo.degraded(faults);
     let ni_of_core = |ni: NodeId| placement.iter().find(|&(_, &n)| n == ni).map(|(&c, _)| c);
     // Evictions already spent: pre-existing cores whose NI has changed.
     let spent = relocated
@@ -350,15 +341,7 @@ fn displacement_step(
         })
         .count() as u64;
     for &mover in movers {
-        let from = placement[&mover];
-        let mut targets: Vec<NodeId> = topo
-            .nis()
-            .iter()
-            .copied()
-            .filter(|&ni| ni != from && !faults.ni_failed(ni))
-            .collect();
-        targets.sort_by_key(|&ni| (degraded.hop_distance(from, ni).unwrap_or(usize::MAX), ni));
-        for target in targets {
+        for target in displacement_targets(view, placement[&mover]) {
             if tried.contains(&(mover, target)) {
                 continue;
             }
@@ -382,6 +365,17 @@ fn displacement_step(
     None
 }
 
+/// Where displacement may re-seat a core now on `from`: every surviving
+/// NI but `from`, nearest first over surviving links (unreachable ones
+/// last), then by NI index. One BFS from `from` gives every distance.
+fn displacement_targets(view: DegradedView<'_>, from: NodeId) -> Vec<NodeId> {
+    let dist = view.hop_distances_from(from);
+    let mut targets = view.usable_nis();
+    targets.retain(|&ni| ni != from);
+    targets.sort_by_key(|&ni| (dist[ni.index()].unwrap_or(usize::MAX), ni));
+    targets
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,8 +385,10 @@ mod tests {
     use crate::strategy::displacement_eviction_budget;
     use noc_tdma::TdmaSpec;
     use noc_topology::units::{Bandwidth, Latency};
-    use noc_topology::MeshBuilder;
+    use noc_topology::{FaultSet, MeshBuilder};
     use noc_usecase::spec::UseCaseBuilder;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn c(i: u32) -> CoreId {
         CoreId::new(i)
@@ -650,5 +646,42 @@ mod tests {
         assert!(!adm.moved.is_empty(), "no core was displaced");
         assert!((1..=budget).contains(&adm.evictions), "{}", adm.evictions);
         adm.solution.verify(&soc, &groups).unwrap();
+    }
+
+    /// `displacement_step` orders targets from one BFS per mover; the
+    /// order must equal sorting by the per-pair surviving hop distance,
+    /// failed and unreachable NIs included.
+    #[test]
+    fn displacement_targets_follow_per_pair_hop_distances() {
+        for seed in 0..40 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let topo = MeshBuilder::new(rng.gen_range(1..=4u16), rng.gen_range(1..=4u16))
+                .nis_per_switch(rng.gen_range(1..=2u16))
+                .build()
+                .unwrap()
+                .into_topology();
+            let mut faults = FaultSet::new();
+            for _ in 0..rng.gen_range(0..=8usize) {
+                faults.fail_link(topo.links()[rng.gen_range(0..topo.link_count())].id());
+            }
+            for _ in 0..rng.gen_range(0..=2usize) {
+                faults.fail_ni(topo.nis()[rng.gen_range(0..topo.ni_count())]);
+            }
+            let view = topo.degraded(&faults);
+            for &from in topo.nis() {
+                let mut expected: Vec<NodeId> = topo
+                    .nis()
+                    .iter()
+                    .copied()
+                    .filter(|&ni| ni != from && !faults.ni_failed(ni))
+                    .collect();
+                expected.sort_by_key(|&ni| (view.hop_distance(from, ni).unwrap_or(usize::MAX), ni));
+                assert_eq!(
+                    displacement_targets(view, from),
+                    expected,
+                    "seed {seed}, mover on {from}"
+                );
+            }
+        }
     }
 }

@@ -77,10 +77,10 @@ pub use admit::{admit_group, Admission, RejectReason};
 pub use error::MapError;
 pub use heal::{heal, HealOutcome};
 pub use mapper::{
-    map_multi_usecase, reroute_preset_groups, reroute_preset_groups_cached, MapperOptions,
-    Placement, RouteCache,
+    map_multi_usecase, reroute_preset_groups, reroute_preset_groups_cached, CachedGroup,
+    MapperOptions, Placement, RouteCache,
 };
-pub use merge::merged_group_flows;
+pub use merge::{merged_flows, merged_group_flows};
 pub use result::{GroupConfig, MappingSolution, Route};
 pub use strategy::{design_with_strategy, StrategyKind, StrategyOutcome};
 pub use verify::VerifyError;

@@ -1,6 +1,7 @@
 //! Algorithm 2: unified mapping, path selection and slot allocation for
 //! multiple use-cases.
 
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 
@@ -103,12 +104,23 @@ struct PairTask {
 /// The slot state is mask-backed (`noc_tdma::SlotMask`): per-link
 /// occupancy is one bit per slot, so the conflict probes inside
 /// `route_in_group`'s k-growth loop are rotated-word folds rather than
-/// per-slot scans, and cloning this state per group costs `S` bits plus
-/// the live reservations per link.
+/// per-slot scans. A group's state is allocated when the group first
+/// routes, so a run that fails early, or a filtered run, pays the
+/// `O(links × slots)` table only for the groups that actually routed.
 struct GroupState {
     slots: NetworkSlots,
     conn_seq: u32,
     scratch: PathScratch,
+}
+
+impl GroupState {
+    fn new(topo: &Topology, spec: &TdmaSpec) -> Self {
+        GroupState {
+            slots: NetworkSlots::new(topo, spec),
+            conn_seq: 0,
+            scratch: PathScratch::new(),
+        }
+    }
 }
 
 /// Mutable mapping state shared across the run. Core placement is only
@@ -119,7 +131,7 @@ struct MapState<'a> {
     topo: &'a Topology,
     spec: TdmaSpec,
     options: &'a MapperOptions,
-    /// `None` for groups a filtered run skips (see `run_mapping`).
+    /// `None` until the group first routes.
     group_states: Vec<Mutex<Option<GroupState>>>,
     core_to_ni: BTreeMap<CoreId, NodeId>,
     /// Occupancy flags indexed by node id (only NI entries are used).
@@ -159,7 +171,8 @@ impl<'a> MapState<'a> {
     /// path are returned so the (sequential) caller can commit any
     /// placements. Taking `&self` plus one group's state keeps this
     /// callable from parallel workers — different groups share nothing
-    /// but read-only context.
+    /// but read-only context. Without `reserve`, a route that nothing
+    /// routes after in `gs` leaves the slots it found free.
     fn route_in_group(
         &self,
         group: usize,
@@ -167,6 +180,7 @@ impl<'a> MapState<'a> {
         src: CoreId,
         dst: CoreId,
         demand: MergedFlow,
+        reserve: bool,
     ) -> Result<(Route, NodeId, NodeId), MapError> {
         count(Counter::GroupRoutes, 1);
         let needed = self.spec.slots_for_bandwidth(demand.bandwidth);
@@ -235,11 +249,13 @@ impl<'a> MapState<'a> {
                     // Commit the reservation; the conn id comes from the
                     // group's own sequence, so it is independent of how
                     // routing interleaves across groups.
-                    let conn = ConnId::from_usecase_flow(group as u32, gs.conn_seq);
-                    gs.conn_seq += 1;
-                    gs.slots
-                        .reserve(&found.links, &slots, conn)
-                        .expect("slots were found free");
+                    if reserve {
+                        let conn = ConnId::from_usecase_flow(group as u32, gs.conn_seq);
+                        gs.conn_seq += 1;
+                        gs.slots
+                            .reserve(&found.links, &slots, conn)
+                            .expect("slots were found free");
+                    }
                     let route = Route {
                         path: found.links,
                         base_slots: slots,
@@ -276,8 +292,8 @@ impl<'a> MapState<'a> {
     ) -> Result<Route, MapError> {
         let (route, src_ni, dst_ni) = {
             let mut gs = self.group_states[group].lock().expect("no poisoned groups");
-            let gs = gs.as_mut().expect("routed groups are active");
-            self.route_in_group(group, gs, src, dst, demand)?
+            let gs = gs.get_or_insert_with(|| GroupState::new(self.topo, &self.spec));
+            self.route_in_group(group, gs, src, dst, demand, true)?
         };
         if !self.core_to_ni.contains_key(&src) {
             self.place(src, src_ni);
@@ -286,6 +302,247 @@ impl<'a> MapState<'a> {
             self.place(dst, dst_ni);
         }
         Ok(route)
+    }
+
+    /// Whether every switch reaches every other over switch-to-switch
+    /// links not banned up front.
+    fn switches_joined(&self) -> bool {
+        let topo = self.topo;
+        let Some(&first) = topo.switches().first() else {
+            return true;
+        };
+        let usable = |l: LinkId| {
+            let link = topo.link(l);
+            !self.banned_base.contains(&l)
+                && !topo.node(link.src()).is_ni()
+                && !topo.node(link.dst()).is_ni()
+        };
+        // Forwards over outgoing links, then backwards over incoming ones.
+        [false, true].into_iter().all(|backwards| {
+            let mut seen = vec![false; topo.node_count()];
+            seen[first.index()] = true;
+            let (mut stack, mut count) = (vec![first], 1);
+            while let Some(n) = stack.pop() {
+                let links = if backwards {
+                    topo.incoming(n)
+                } else {
+                    topo.outgoing(n)
+                };
+                for &l in links.iter().filter(|&&l| usable(l)) {
+                    let link = topo.link(l);
+                    let m = if backwards { link.src() } else { link.dst() };
+                    if !seen[m.index()] {
+                        seen[m.index()] = true;
+                        count += 1;
+                        stack.push(m);
+                    }
+                }
+            }
+            count == topo.switch_count()
+        })
+    }
+
+    /// Fails a filtered run early when one of its pairs is doomed: its
+    /// source NI has no surviving outgoing link or its destination NI no
+    /// surviving incoming one, so routing it fails whatever its group
+    /// has reserved. The placement pass then fails at the first doomed
+    /// pair it picks, or at an earlier pair whose route fails. A group's
+    /// earlier pairs are its first routes, on empty slot tables, so
+    /// whether they all succeed depends on their NIs and demands alone.
+    /// A group is not routed when `proven` holds its earlier pairs, or
+    /// when that is one pair without a latency bound whose source NI
+    /// sends to a switch and whose destination NI hears from one while
+    /// the switches stay joined (an empty table has room for any flow
+    /// a link carries). The other groups are routed, in pick order, so
+    /// the error is the one the full pass returns. Every route sequence
+    /// that succeeds here joins `proven`.
+    ///
+    /// `queue` must hold every task; it is emptied when a pair is doomed.
+    /// Returns `Ok`, having routed nothing and left `queue` alone, when no
+    /// pair is doomed or a pair has an unplaced core (the pass places it,
+    /// which changes the pick order).
+    fn fail_fast(
+        &self,
+        tasks: &[PairTask],
+        queue: &mut PairQueue,
+        is_active: impl Fn(usize) -> bool,
+        proven: &mut ProvenRoutes,
+    ) -> Result<(), MapError> {
+        let topo = self.topo;
+        // Per node: banned outgoing and incoming links.
+        let mut cut = vec![(0usize, 0usize); topo.node_count()];
+        for &l in &self.banned_base {
+            let link = topo.link(l);
+            cut[link.src().index()].0 += 1;
+            cut[link.dst().index()].1 += 1;
+        }
+        let mute = |ni: NodeId| cut[ni.index()].0 == topo.outgoing(ni).len();
+        let deaf = |ni: NodeId| cut[ni.index()].1 == topo.incoming(ni).len();
+        let placed = |core: &CoreId| self.core_to_ni.contains_key(core);
+        if !topo.nis().iter().any(|&ni| mute(ni) || deaf(ni))
+            || !tasks.iter().all(|t| placed(&t.src) && placed(&t.dst))
+        {
+            return Ok(());
+        }
+        let doomed =
+            |task: &PairTask| mute(self.core_to_ni[&task.src]) || deaf(self.core_to_ni[&task.dst]);
+        let active_task = |task: &&PairTask| is_active(task.demands[0].0);
+        if !tasks.iter().filter(active_task).any(doomed) {
+            return Ok(());
+        }
+        let mut earlier = Vec::new();
+        let doomed = std::iter::from_fn(|| queue.pop())
+            .map(|i| &tasks[i])
+            .filter(active_task)
+            .find(|task| {
+                let doomed = doomed(task);
+                if !doomed {
+                    earlier.push(*task);
+                }
+                doomed
+            })
+            .expect("a doomed pair is picked");
+        #[cfg(test)]
+        tests::count_fail_fast();
+        let steps: Vec<RouteStep> = earlier
+            .iter()
+            .map(|task| {
+                let demand = task.demands[0].1;
+                let ni = |core| self.core_to_ni[&core];
+                (ni(task.src), ni(task.dst), demand.bandwidth, demand.latency)
+            })
+            .collect();
+        let mut starts: BTreeMap<usize, Vec<RouteStep>> = BTreeMap::new();
+        for (task, &step) in earlier.iter().zip(&steps) {
+            starts.entry(task.demands[0].0).or_default().push(step);
+        }
+        let mut joined = None;
+        let to_switch = |l: &&LinkId, end: fn(&noc_topology::Link) -> NodeId| {
+            !self.banned_base.contains(l) && !topo.node(end(topo.link(**l))).is_ni()
+        };
+        let sends = |ni: NodeId| topo.outgoing(ni).iter().any(|l| to_switch(&l, |k| k.dst()));
+        let hears = |ni: NodeId| topo.incoming(ni).iter().any(|l| to_switch(&l, |k| k.src()));
+        starts.retain(|_, start| {
+            let lone_route = match start.as_slice() {
+                &[(src, dst, bandwidth, latency)] => {
+                    latency.is_unconstrained()
+                        && self.spec.slots_for_bandwidth(bandwidth) >= 1
+                        && sends(src)
+                        && hears(dst)
+                        && *joined.get_or_insert_with(|| self.switches_joined())
+                }
+                _ => false,
+            };
+            !lone_route && !proven.contains(start)
+        });
+        #[cfg(test)]
+        tests::count_proven(starts.len(), &earlier);
+        let mut routed: BTreeMap<usize, Vec<RouteStep>> = BTreeMap::new();
+        for (task, step) in earlier.into_iter().zip(steps) {
+            let (g0, d0) = task.demands[0];
+            let Some(start) = starts.get(&g0) else {
+                continue;
+            };
+            let done = routed.entry(g0).or_default();
+            // The group's last route here is never built upon.
+            let reserve = done.len() + 1 < start.len();
+            {
+                let mut gs = self.group_states[g0].lock().expect("no poisoned groups");
+                let gs = gs.get_or_insert_with(|| GroupState::new(self.topo, &self.spec));
+                self.route_in_group(g0, gs, task.src, task.dst, d0, reserve)?;
+            }
+            done.push(step);
+            remember(proven, done);
+        }
+        Err(MapError::Unroutable {
+            src: doomed.src,
+            dst: doomed.dst,
+            group: doomed.demands[0].0,
+        })
+    }
+}
+
+/// One route of a group, as what decides whether it succeeds on slot
+/// tables that hold nothing but the group's earlier routes: the source
+/// and destination NIs and the demand.
+type RouteStep = (NodeId, NodeId, Bandwidth, Latency);
+
+/// Route sequences known to succeed as a group's first routes, on empty
+/// slot tables, under one topology, TDMA spec and set of mapper options
+/// (the lifetime of a [`RouteCache`], which keeps them).
+type ProvenRoutes = BTreeSet<Vec<RouteStep>>;
+
+/// Proven route sequences a [`RouteCache`] keeps before it starts over,
+/// so that a long-lived cache under faults stays small.
+const PROVEN_ROUTES_KEPT: usize = 4096;
+
+/// Adds `start` to `proven`, first forgetting everything once it holds
+/// [`PROVEN_ROUTES_KEPT`] sequences.
+fn remember(proven: &mut ProvenRoutes, start: &[RouteStep]) {
+    if proven.len() >= PROVEN_ROUTES_KEPT {
+        proven.clear();
+    }
+    if !proven.contains(start) {
+        proven.insert(start.to_vec());
+    }
+}
+
+/// The pending pairs of step 3 in Algorithm 2's pick order: with
+/// `prefer_mapped`, most endpoints already placed first, then largest
+/// bandwidth, then task index; without it, task order. A pending task
+/// sits in the ordered set of its level (placed endpoints, 0 to 2) and
+/// moves up a level when one of its cores is placed, so a pick costs
+/// `O(log T)` rather than a scan over every pending pair.
+struct PairQueue {
+    levels: [BTreeSet<(Reverse<Bandwidth>, usize)>; 3],
+    /// Per task: its current level and its key inside that level.
+    slot: Vec<(usize, Reverse<Bandwidth>)>,
+    /// Tasks by endpoint core (empty without `prefer_mapped`: nothing
+    /// ever moves up).
+    by_core: BTreeMap<CoreId, Vec<usize>>,
+}
+
+impl PairQueue {
+    fn new(tasks: &[PairTask], prefer_mapped: bool, placed: &BTreeMap<CoreId, NodeId>) -> Self {
+        let mut queue = PairQueue {
+            levels: Default::default(),
+            slot: Vec::with_capacity(tasks.len()),
+            by_core: BTreeMap::new(),
+        };
+        for (i, t) in tasks.iter().enumerate() {
+            // Without `prefer_mapped` every task shares level 0 and one
+            // bandwidth key, which leaves the task index as the order.
+            let (level, key) = if prefer_mapped {
+                queue.by_core.entry(t.src).or_default().push(i);
+                queue.by_core.entry(t.dst).or_default().push(i);
+                let level =
+                    placed.contains_key(&t.src) as usize + placed.contains_key(&t.dst) as usize;
+                (level, Reverse(t.max_bw))
+            } else {
+                (0, Reverse(Bandwidth::ZERO))
+            };
+            queue.levels[level].insert((key, i));
+            queue.slot.push((level, key));
+        }
+        queue
+    }
+
+    /// Takes the next pair to route.
+    fn pop(&mut self) -> Option<usize> {
+        let (_, i) = self.levels.iter_mut().rev().find_map(BTreeSet::pop_first)?;
+        Some(i)
+    }
+
+    /// Records that `core` was just placed: its pending pairs move up a
+    /// level.
+    fn placed(&mut self, core: CoreId) {
+        for &i in self.by_core.get(&core).into_iter().flatten() {
+            let (level, key) = self.slot[i];
+            if self.levels[level].remove(&(key, i)) {
+                self.levels[level + 1].insert((key, i));
+                self.slot[i].0 = level + 1;
+            }
+        }
     }
 }
 
@@ -305,10 +562,16 @@ enum EffectivePlacement<'p> {
 ///
 /// Group filtering is only sound with a **full preset placement**: each
 /// group's configuration is then a pure function of its own cores'
-/// placements — routing order inside a group, its private slot state and
-/// its connection-id sequence are all independent of the other groups —
-/// so skipping an unaffected group and splicing its previous config back
-/// in is byte-identical to re-routing it.
+/// placements and of every group's demand on its pairs — its slot state
+/// and connection-id sequence are private, and the other groups' demands
+/// only fix the pair order and which of the group's pairs it routes in
+/// the placement pass (those it has the largest demand on) rather than
+/// in the group pass. So skipping an unaffected group and splicing its
+/// previous config back in is byte-identical to re-routing it, and a
+/// filtered run needs tasks only for the pairs its active groups route,
+/// though it still reads every group's demand on them. Its work follows
+/// the active groups: capacity is checked on them alone, and a group's
+/// slot table and path scratch are allocated when it first routes.
 #[allow(clippy::too_many_arguments)]
 fn run_mapping(
     soc: &SocSpec,
@@ -319,6 +582,7 @@ fn run_mapping(
     placement: EffectivePlacement<'_>,
     active: Option<&[bool]>,
     merged: &[BTreeMap<(CoreId, CoreId), MergedFlow>],
+    proven: Option<&mut ProvenRoutes>,
 ) -> Result<(BTreeMap<CoreId, NodeId>, Vec<Option<GroupConfig>>), MapError> {
     debug_assert!(
         active.is_none() || matches!(placement, EffectivePlacement::Preset(_)),
@@ -347,11 +611,20 @@ fn run_mapping(
         "merged flows must come from merged_group_flows(soc, groups)"
     );
 
-    // Upfront capacity sanity: a merged flow larger than a whole link is
-    // unroutable at any size.
+    let is_active = |g: usize| active.is_none_or(|a| a[g]);
+    // Assemble one task per pair an active group routes, carrying every
+    // group's demand on it: the largest demand, whatever its group,
+    // fixes the pair's place in the order and which group routes it in
+    // the placement pass. Pairs only skipped groups use would never
+    // route, so a filtered run leaves them out.
+    let mut by_pair: BTreeMap<(CoreId, CoreId), Vec<(usize, MergedFlow)>> = BTreeMap::new();
     for (g, flows) in merged.iter().enumerate() {
-        let _ = g;
+        if !is_active(g) {
+            continue;
+        }
         for (&(src, dst), f) in flows {
+            // Upfront capacity sanity: a merged flow larger than a whole
+            // link is unroutable at any size.
             let needed = spec.slots_for_bandwidth(f.bandwidth);
             if needed > spec.slots() {
                 return Err(MapError::FlowExceedsLinkCapacity {
@@ -361,14 +634,14 @@ fn run_mapping(
                     available: spec.slots(),
                 });
             }
+            by_pair.entry((src, dst)).or_default();
         }
     }
-
-    // Assemble pair tasks across groups.
-    let mut by_pair: BTreeMap<(CoreId, CoreId), Vec<(usize, MergedFlow)>> = BTreeMap::new();
     for (g, flows) in merged.iter().enumerate() {
-        for (&pair, &f) in flows {
-            by_pair.entry(pair).or_default().push((g, f));
+        for (pair, &f) in flows {
+            if let Some(demands) = by_pair.get_mut(pair) {
+                demands.push((g, f));
+            }
         }
     }
     let mut tasks: Vec<PairTask> = by_pair
@@ -393,7 +666,6 @@ fn run_mapping(
         });
     }
 
-    let is_active = |g: usize| active.is_none_or(|a| a[g]);
     // Failed NIs are taken out of play up front: marked occupied (so
     // `Target::AnyFreeNi` skips them) and dropped from the free list.
     let mut ni_occupied = vec![false; topo.node_count()];
@@ -414,17 +686,8 @@ fn run_mapping(
         topo,
         spec,
         options,
-        // Skipped groups never route, so don't pay their
-        // `O(links × slots)` slot tables — that allocation is exactly
-        // what the annealer's delta re-route exists to avoid.
         group_states: (0..groups.group_count())
-            .map(|g| {
-                Mutex::new(is_active(g).then(|| GroupState {
-                    slots: NetworkSlots::new(topo, &spec),
-                    conn_seq: 0,
-                    scratch: PathScratch::new(),
-                }))
-            })
+            .map(|_| Mutex::new(None))
             .collect(),
         core_to_ni: BTreeMap::new(),
         ni_occupied,
@@ -464,28 +727,26 @@ fn run_mapping(
     // scheduling).
     let mut deferred: Vec<Vec<(CoreId, CoreId, MergedFlow)>> =
         vec![Vec::new(); groups.group_count()];
-    let mut done = vec![false; tasks.len()];
-    for _round in 0..tasks.len() {
-        // Step 3: pick the largest-bandwidth pending pair, preferring
-        // pairs with already-mapped endpoints.
-        let mut best: Option<(usize, (u8, Bandwidth))> = None;
-        for (i, t) in tasks.iter().enumerate() {
-            if done[i] {
-                continue;
-            }
-            if !options.prefer_mapped {
-                best = Some((i, (0, t.max_bw)));
-                break; // tasks are in processing order already
-            }
-            let mapped = state.core_to_ni.contains_key(&t.src) as u8
-                + state.core_to_ni.contains_key(&t.dst) as u8;
-            let key = (mapped, t.max_bw);
-            if best.is_none_or(|(_, bk)| key > bk) {
-                best = Some((i, key));
-            }
+    let mut queue = PairQueue::new(&tasks, options.prefer_mapped, &state.core_to_ni);
+    #[cfg(test)]
+    let mut reference = tests::QuadraticPicks::new(&tasks, options.prefer_mapped);
+    // Faults can doom a filtered run from the start (a pair whose NI
+    // lost its links); a cached run is failed then without routing the
+    // pairs before the doomed one that it knows to succeed.
+    #[cfg(test)]
+    let proven = proven.filter(|_| !tests::full_pass_only());
+    if let (Some(proven), Some(_)) = (proven, active) {
+        if !options.faults.is_empty() {
+            state.fail_fast(&tasks, &mut queue, is_active, proven)?;
         }
-        let (idx, _) = best.expect("one pending task per round");
-        done[idx] = true;
+    }
+    loop {
+        // Step 3: take the largest-bandwidth pending pair, preferring
+        // pairs with already-mapped endpoints.
+        let next = queue.pop();
+        #[cfg(test)]
+        reference.check(next, &state.core_to_ni);
+        let Some(idx) = next else { break };
         let task = &tasks[idx];
 
         // Step 4 (placement pass): route the pair in its largest-demand
@@ -497,11 +758,17 @@ fn run_mapping(
         // groups cannot change what the active ones observe.
         let (&(g0, d0), rest) = task.demands.split_first().expect("tasks have >= 1 demand");
         if is_active(g0) {
+            let unplaced = [task.src, task.dst].map(|c| !state.core_to_ni.contains_key(&c));
             let route = state.route_pair(g0, task.src, task.dst, d0)?;
             configs[g0]
                 .as_mut()
                 .expect("active groups have configs")
                 .insert(task.src, task.dst, route);
+            for (core, was_unplaced) in [task.src, task.dst].into_iter().zip(unplaced) {
+                if was_unplaced {
+                    queue.placed(core);
+                }
+            }
         }
         for &(g, demand) in rest {
             if is_active(g) {
@@ -529,10 +796,10 @@ fn run_mapping(
         let mut gs = state_ref.group_states[g]
             .lock()
             .expect("no poisoned groups");
-        let gs = gs.as_mut().expect("deferred groups are active");
+        let gs = gs.get_or_insert_with(|| GroupState::new(state_ref.topo, &state_ref.spec));
         let mut routes = Vec::with_capacity(demands.len());
         for (src, dst, demand) in demands {
-            let (route, _, _) = state_ref.route_in_group(g, gs, src, dst, demand)?;
+            let (route, _, _) = state_ref.route_in_group(g, gs, src, dst, demand, true)?;
             routes.push((src, dst, route));
         }
         Ok::<_, MapError>((g, routes))
@@ -585,8 +852,9 @@ pub fn map_multi_usecase(
         });
     }
     let merged = merged_group_flows(soc, groups);
-    let (core_to_ni, configs) =
-        run_mapping(soc, groups, topo, spec, options, placement, None, &merged)?;
+    let (core_to_ni, configs) = run_mapping(
+        soc, groups, topo, spec, options, placement, None, &merged, None,
+    )?;
     Ok(MappingSolution::new(
         topo.clone(),
         format!("{}sw", topo.switch_count()),
@@ -606,9 +874,10 @@ pub fn map_multi_usecase(
 ///
 /// Byte-identical to a full [`map_multi_usecase`] with
 /// [`Placement::Preset`] because, with placement fixed up front, each
-/// group's configuration is a pure function of its own cores' NIs: pair
-/// processing order is placement-independent, slot state and connection
-/// ids are group-private, and unmapped-endpoint logic never fires. The
+/// group's configuration is a pure function of its own cores' NIs and
+/// of the demands on its pairs: pair processing order is
+/// placement-independent, slot state and connection ids are
+/// group-private, and unmapped-endpoint logic never fires. The
 /// annealer leans on this to evaluate a two-core swap by re-routing only
 /// the groups whose traffic touches either core — `base` **must** carry
 /// per-group configs equal to a full preset re-route of its own
@@ -637,6 +906,23 @@ pub fn reroute_preset_groups(
     affected: &[bool],
     merged: &[BTreeMap<(CoreId, CoreId), MergedFlow>],
 ) -> Result<MappingSolution, MapError> {
+    reroute_filtered(
+        soc, groups, base, options, placement, affected, merged, None,
+    )
+}
+
+/// [`reroute_preset_groups`], handing `proven` to the mapping run.
+#[allow(clippy::too_many_arguments)]
+fn reroute_filtered(
+    soc: &SocSpec,
+    groups: &UseCaseGroups,
+    base: &MappingSolution,
+    options: &MapperOptions,
+    placement: &BTreeMap<CoreId, NodeId>,
+    affected: &[bool],
+    merged: &[BTreeMap<(CoreId, CoreId), MergedFlow>],
+    proven: Option<&mut ProvenRoutes>,
+) -> Result<MappingSolution, MapError> {
     assert_eq!(
         affected.len(),
         groups.group_count(),
@@ -656,6 +942,7 @@ pub fn reroute_preset_groups(
         EffectivePlacement::Preset(placement),
         Some(affected),
         merged,
+        proven,
     )?;
     Ok(MappingSolution::new(
         topo.clone(),
@@ -676,65 +963,110 @@ pub fn reroute_preset_groups(
 ///
 /// Soundness rests on the invariant documented on
 /// [`reroute_preset_groups`]: with placement fixed up front, each group's
-/// configuration is a pure function of its own cores' NIs (pair order,
-/// slot state and connection ids are all group-private). The cache key
-/// for group `g` is therefore the NI assignment of exactly the cores
-/// appearing in `merged[g]`, in sorted core order; topology, TDMA spec
-/// and mapper options must stay fixed for the cache's lifetime, which is
-/// why search strategies own one cache per (chain, search) rather than
-/// sharing a global one — per-unit caches also keep the hit/miss
-/// counters schedule-independent.
+/// configuration is a pure function of its own cores' NIs and of the
+/// demands on its pairs. The cache key for group `g` is the NI
+/// assignment of exactly the cores appearing in `merged[g]`, in sorted
+/// core order; topology, TDMA spec, mapper options and the merged flows
+/// must stay fixed for the cache's lifetime, which is why search
+/// strategies own one cache per (chain, search) rather than sharing a
+/// global one — per-unit caches also keep the hit/miss counters
+/// schedule-independent.
+///
+/// The cache holds one [`CachedGroup`] row per group, in group order. A
+/// caller that edits its partition one group at a time — the online
+/// service, whose groups are its admitted use-cases — keeps one cache
+/// alive across edits by inserting and removing rows through
+/// [`Self::groups_mut`] wherever it inserts and removes groups. Its
+/// cached configs stay valid routings, but once a group sharing a pair
+/// comes or goes they may differ from what a fresh route would give.
+///
+/// Under faults the cache also keeps the route sequences it has seen
+/// succeed as a group's first routes, so that a re-route doomed by a
+/// cut-off NI fails without routing them again (see
+/// [`reroute_preset_groups_cached`]).
 #[derive(Debug, Clone)]
 pub struct RouteCache {
-    /// Per group: the sorted cores its configuration depends on.
-    group_cores: Vec<Vec<CoreId>>,
-    /// Per group: placement signature → routed config.
-    configs: Vec<BTreeMap<Vec<NodeId>, GroupConfig>>,
+    groups: Vec<CachedGroup>,
+    /// Route sequences seen to succeed as a group's first routes; under
+    /// faults they let a doomed re-route fail without routing them again.
+    proven: ProvenRoutes,
+}
+
+/// One group's row of a [`RouteCache`]: the cores the group's
+/// configuration depends on and every config routed for it, by
+/// placement signature.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CachedGroup {
+    /// The sorted cores of the group's merged flows.
+    cores: Vec<CoreId>,
+    /// Placement signature (the cores' NIs) → routed config.
+    configs: BTreeMap<Vec<NodeId>, GroupConfig>,
+}
+
+impl CachedGroup {
+    /// An empty row for a group with merged flows `flows`.
+    pub fn new(flows: &BTreeMap<(CoreId, CoreId), MergedFlow>) -> Self {
+        let cores: BTreeSet<CoreId> = flows.keys().flat_map(|&(s, d)| [s, d]).collect();
+        CachedGroup {
+            cores: cores.into_iter().collect(),
+            configs: BTreeMap::new(),
+        }
+    }
+
+    /// The sorted cores a signature assigns NIs to.
+    pub fn cores(&self) -> &[CoreId] {
+        &self.cores
+    }
+
+    /// Cached `(signature, config)` entries, by signature.
+    pub fn iter(&self) -> impl Iterator<Item = (&[NodeId], &GroupConfig)> {
+        self.configs
+            .iter()
+            .map(|(sig, config)| (sig.as_slice(), config))
+    }
+
+    /// Adds `newer`'s configs under the signatures this row lacks; where
+    /// both hold one, this row's config stays.
+    pub fn keep_over(&mut self, newer: CachedGroup) {
+        for (sig, config) in newer.configs {
+            self.configs.entry(sig).or_insert(config);
+        }
+    }
+
+    /// The group's signature under `placement`: its cores' NIs in
+    /// sorted core order. `None` when a core is unplaced (never cached).
+    fn signature(&self, placement: &BTreeMap<CoreId, NodeId>) -> Option<Vec<NodeId>> {
+        self.cores
+            .iter()
+            .map(|c| placement.get(c).copied())
+            .collect()
+    }
 }
 
 impl RouteCache {
     /// Creates an empty cache for the given merged per-group flows
     /// (`merged_group_flows(soc, groups)`).
     pub fn new(merged: &[BTreeMap<(CoreId, CoreId), MergedFlow>]) -> Self {
-        let group_cores: Vec<Vec<CoreId>> = merged
-            .iter()
-            .map(|flows| {
-                let cores: BTreeSet<CoreId> = flows.keys().flat_map(|&(s, d)| [s, d]).collect();
-                cores.into_iter().collect()
-            })
-            .collect();
-        let configs = vec![BTreeMap::new(); group_cores.len()];
         RouteCache {
-            group_cores,
-            configs,
+            groups: merged.iter().map(CachedGroup::new).collect(),
+            proven: ProvenRoutes::new(),
         }
-    }
-
-    /// The signature of group `g` under `placement`: its cores' NIs in
-    /// sorted core order. `None` when a core is unplaced (never cached).
-    fn signature(&self, g: usize, placement: &BTreeMap<CoreId, NodeId>) -> Option<Vec<NodeId>> {
-        self.group_cores[g]
-            .iter()
-            .map(|c| placement.get(c).copied())
-            .collect()
     }
 
     /// Seeds the cache with `solution`'s per-group configs under its own
     /// placement (the solution must be preset-pure, i.e. produced by a
     /// full preset re-route — see [`reroute_preset_groups`]).
     pub fn seed(&mut self, solution: &MappingSolution) {
-        for g in 0..self.group_cores.len() {
-            if let Some(sig) = self.signature(g, solution.core_mapping()) {
-                self.configs[g]
-                    .entry(sig)
-                    .or_insert_with(|| solution.group_configs()[g].clone());
+        for (row, config) in self.groups.iter_mut().zip(solution.group_configs()) {
+            if let Some(sig) = row.signature(solution.core_mapping()) {
+                row.configs.entry(sig).or_insert_with(|| config.clone());
             }
         }
     }
 
     /// Total cached configs across all groups.
     pub fn len(&self) -> usize {
-        self.configs.iter().map(BTreeMap::len).sum()
+        self.groups.iter().map(|row| row.configs.len()).sum()
     }
 
     /// Whether nothing is cached yet.
@@ -742,44 +1074,25 @@ impl RouteCache {
         self.len() == 0
     }
 
-    /// The signature of group `g` under `placement` — the key
-    /// [`reroute_preset_groups_cached`] would use (see the type docs).
-    /// `None` when a core of the group is unplaced.
-    ///
-    /// # Panics
-    ///
-    /// When `g` is out of range for the partition the cache was built on.
-    pub fn signature_of(
-        &self,
-        g: usize,
-        placement: &BTreeMap<CoreId, NodeId>,
-    ) -> Option<Vec<NodeId>> {
-        self.signature(g, placement)
+    /// The per-group rows, in group order.
+    pub fn groups(&self) -> &[CachedGroup] {
+        &self.groups
     }
 
-    /// Inserts a routed config for group `g` under an explicit signature
-    /// (as returned by [`Self::signature_of`]). Long-running callers —
-    /// the online mapping service — use this to re-seed a fresh cache
-    /// from configs exported by [`Self::group_entries`] on an earlier
-    /// cache whose group indices have since shifted. The config must be
-    /// the pure routing of the group under that signature; inserting
-    /// anything else breaks the splice soundness invariant.
-    ///
-    /// # Panics
-    ///
-    /// When `g` is out of range for the partition the cache was built on.
-    pub fn insert(&mut self, g: usize, sig: Vec<NodeId>, config: GroupConfig) {
-        self.configs[g].insert(sig, config);
+    /// The per-group rows, for a caller that inserts or removes a row
+    /// wherever it inserts or removes a group of its partition.
+    pub fn groups_mut(&mut self) -> &mut Vec<CachedGroup> {
+        &mut self.groups
     }
 
-    /// All cached `signature → config` entries for group `g`, for export
-    /// into a longer-lived store (see [`Self::insert`]).
-    ///
-    /// # Panics
-    ///
-    /// When `g` is out of range for the partition the cache was built on.
-    pub fn group_entries(&self, g: usize) -> &BTreeMap<Vec<NodeId>, GroupConfig> {
-        &self.configs[g]
+    /// Forgets every cached config, and every route sequence seen to
+    /// succeed, and keeps the rows — for when the fabric the configs
+    /// were routed on has changed.
+    pub fn clear(&mut self) {
+        for row in &mut self.groups {
+            row.configs.clear();
+        }
+        self.proven.clear();
     }
 }
 
@@ -789,6 +1102,11 @@ impl RouteCache {
 /// inserted (`route_cache_misses`). Byte-identical to the uncached call
 /// because cached configs are pure functions of the signature — pinned by
 /// `tests/perf_counters.rs` and the strategy differential tests.
+///
+/// Under faults, a call one of whose pairs has an NI that cannot send or
+/// cannot receive over any surviving link fails with the error the full
+/// pass returns, routing only the earlier pairs it cannot show to
+/// succeed.
 ///
 /// # Errors
 ///
@@ -815,7 +1133,7 @@ pub fn reroute_preset_groups_cached(
         "one affected flag per group"
     );
     assert_eq!(
-        cache.group_cores.len(),
+        cache.groups.len(),
         groups.group_count(),
         "cache built for this partition"
     );
@@ -828,8 +1146,8 @@ pub fn reroute_preset_groups_cached(
         if !a {
             continue;
         }
-        match cache.signature(g, placement) {
-            Some(sig) if cache.configs[g].contains_key(&sig) => hits.push((g, sig)),
+        match cache.groups[g].signature(placement) {
+            Some(sig) if cache.groups[g].configs.contains_key(&sig) => hits.push((g, sig)),
             Some(sig) => {
                 to_route[g] = true;
                 misses.push((g, sig));
@@ -841,16 +1159,27 @@ pub fn reroute_preset_groups_cached(
     }
     count(Counter::RouteCacheHits, hits.len() as u64);
     count(Counter::RouteCacheMisses, misses.len() as u64);
-    let sol = reroute_preset_groups(soc, groups, base, options, placement, &to_route, merged)?;
+    let sol = reroute_filtered(
+        soc,
+        groups,
+        base,
+        options,
+        placement,
+        &to_route,
+        merged,
+        Some(&mut cache.proven),
+    )?;
     for (g, sig) in misses {
-        cache.configs[g].insert(sig, sol.group_configs()[g].clone());
+        cache.groups[g]
+            .configs
+            .insert(sig, sol.group_configs()[g].clone());
     }
     if hits.is_empty() {
         return Ok(sol);
     }
     let mut configs = sol.group_configs().to_vec();
     for (g, sig) in hits {
-        configs[g] = cache.configs[g][&sig].clone();
+        configs[g] = cache.groups[g].configs[&sig].clone();
     }
     Ok(MappingSolution::new(
         sol.topology().clone(),
@@ -866,6 +1195,87 @@ mod tests {
     use super::*;
     use noc_topology::{Mesh, MeshBuilder};
     use noc_usecase::spec::UseCaseBuilder;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Step-3 picks this thread has checked against the reference.
+        static CHECKED_PICKS: Cell<u64> = const { Cell::new(0) };
+        /// Runs this thread failed through `MapState::fail_fast`.
+        static FAILED_FAST: Cell<u64> = const { Cell::new(0) };
+        /// Groups those runs left unrouted as proven.
+        static LEFT_PROVEN: Cell<u64> = const { Cell::new(0) };
+        /// Set while a test wants every run to take the full pass.
+        static FULL_PASS_ONLY: Cell<bool> = const { Cell::new(false) };
+    }
+
+    pub(super) fn count_fail_fast() {
+        FAILED_FAST.with(|c| c.set(c.get() + 1));
+    }
+
+    /// Counts the groups among `earlier` a fail-fast run did not route,
+    /// given that it routes `routed` of them.
+    pub(super) fn count_proven(routed: usize, earlier: &[&PairTask]) {
+        let groups: BTreeSet<usize> = earlier.iter().map(|t| t.demands[0].0).collect();
+        LEFT_PROVEN.with(|c| c.set(c.get() + (groups.len() - routed) as u64));
+    }
+
+    pub(super) fn full_pass_only() -> bool {
+        FULL_PASS_ONLY.with(Cell::get)
+    }
+
+    /// The quadratic step-3 scan [`PairQueue`] replaced: every pick
+    /// rescans all pending pairs for the largest `(placed endpoints,
+    /// bandwidth)` key, first index on ties. Every mapping a unit test
+    /// runs checks its queue's picks, including the final `None`,
+    /// against it.
+    pub(super) struct QuadraticPicks<'t> {
+        tasks: &'t [PairTask],
+        prefer_mapped: bool,
+        done: Vec<bool>,
+    }
+
+    impl<'t> QuadraticPicks<'t> {
+        pub(super) fn new(tasks: &'t [PairTask], prefer_mapped: bool) -> Self {
+            QuadraticPicks {
+                tasks,
+                prefer_mapped,
+                done: vec![false; tasks.len()],
+            }
+        }
+
+        pub(super) fn check(&mut self, picked: Option<usize>, mapped: &BTreeMap<CoreId, NodeId>) {
+            let mut best: Option<(usize, (u8, Bandwidth))> = None;
+            for (i, t) in self.tasks.iter().enumerate() {
+                if self.done[i] {
+                    continue;
+                }
+                if !self.prefer_mapped {
+                    best = Some((i, (0, t.max_bw)));
+                    break; // tasks are in processing order already
+                }
+                let placed = mapped.contains_key(&t.src) as u8 + mapped.contains_key(&t.dst) as u8;
+                let key = (placed, t.max_bw);
+                if best.is_none_or(|(_, bk)| key > bk) {
+                    best = Some((i, key));
+                }
+            }
+            let expected = best.map(|(i, _)| i);
+            assert_eq!(
+                picked, expected,
+                "pair queue diverged from the quadratic scan"
+            );
+            if let Some(i) = expected {
+                self.done[i] = true;
+            }
+            CHECKED_PICKS.with(|c| c.set(c.get() + 1));
+        }
+    }
+
+    fn checked_picks() -> u64 {
+        CHECKED_PICKS.with(Cell::get)
+    }
 
     fn c(i: u32) -> CoreId {
         CoreId::new(i)
@@ -1195,5 +1605,240 @@ mod tests {
         )
         .unwrap();
         assert_eq!(a, b);
+    }
+
+    /// A random SoC: `use_cases` use-cases of one to five flows over
+    /// cores `0..cores`, so pairs recur across use-cases and groups.
+    fn random_soc(rng: &mut SmallRng, use_cases: usize, cores: u32) -> SocSpec {
+        let mut soc = SocSpec::new("random");
+        for u in 0..use_cases {
+            let mut b = UseCaseBuilder::new(format!("u{u}"));
+            let mut pairs = BTreeSet::new();
+            let flows = rng.gen_range(1..=5usize);
+            while pairs.len() < flows {
+                let (src, dst) = (rng.gen_range(0..cores), rng.gen_range(0..cores));
+                if src != dst && pairs.insert((src, dst)) {
+                    let mbps = rng.gen_range(10..600u64);
+                    b = b
+                        .flow(c(src), c(dst), bw(mbps), Latency::UNCONSTRAINED)
+                        .unwrap();
+                }
+            }
+            soc.add_use_case(b.build());
+        }
+        soc
+    }
+
+    fn random_groups(rng: &mut SmallRng, use_cases: usize) -> UseCaseGroups {
+        if rng.gen_bool(0.25) {
+            UseCaseGroups::single_group(use_cases)
+        } else {
+            UseCaseGroups::singletons(use_cases)
+        }
+    }
+
+    #[test]
+    fn pair_queue_picks_in_the_quadratic_scan_order() {
+        let m = mesh(3, 3, 1);
+        let spec = TdmaSpec::paper_default();
+        for seed in 0..16 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let use_cases = rng.gen_range(1..=6usize);
+            let soc = random_soc(&mut rng, use_cases, 8);
+            let groups = random_groups(&mut rng, use_cases);
+            let mut placements = vec![Placement::Unified, Placement::RoundRobin];
+            if let Ok(sol) =
+                map_multi_usecase(&soc, &groups, m.topology(), spec, &Default::default())
+            {
+                // A full preset (every pair starts with both endpoints
+                // placed) and a partial one (pairs climb levels as the
+                // remaining cores are placed).
+                let full = sol.core_mapping().clone();
+                let partial = full.iter().step_by(2).map(|(&c, &n)| (c, n)).collect();
+                placements.extend([Placement::Preset(full), Placement::Preset(partial)]);
+            }
+            for placement in &placements {
+                for prefer_mapped in [true, false] {
+                    for sort_by_bandwidth in [true, false] {
+                        let options = MapperOptions {
+                            placement: placement.clone(),
+                            prefer_mapped,
+                            sort_by_bandwidth,
+                            ..Default::default()
+                        };
+                        let before = checked_picks();
+                        let _ = map_multi_usecase(&soc, &groups, m.topology(), spec, &options);
+                        assert!(
+                            checked_picks() > before,
+                            "seed {seed}: no pick was checked under {options:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A filtered re-route builds tasks only for the pairs its active
+    /// groups route, and checks capacity and allocates slot state for
+    /// those groups alone; its configs must still equal a full preset
+    /// re-route's, and its picks the quadratic scan's.
+    #[test]
+    fn filtered_reroute_matches_the_full_preset_reroute() {
+        let m = mesh(3, 3, 1);
+        let spec = TdmaSpec::paper_default();
+        let options = MapperOptions::default();
+        let mut compared = 0;
+        for seed in 0..24 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let use_cases = rng.gen_range(2..=7usize);
+            let soc = random_soc(&mut rng, use_cases, 8);
+            let groups = random_groups(&mut rng, use_cases);
+            let Ok(greedy) = map_multi_usecase(&soc, &groups, m.topology(), spec, &options) else {
+                continue;
+            };
+            let preset = |placement: &BTreeMap<CoreId, NodeId>| MapperOptions {
+                placement: Placement::Preset(placement.clone()),
+                ..options.clone()
+            };
+            let base = map_multi_usecase(
+                &soc,
+                &groups,
+                m.topology(),
+                spec,
+                &preset(greedy.core_mapping()),
+            )
+            .expect("a greedy placement re-routes");
+            let merged = merged_group_flows(&soc, &groups);
+            // Move one core to a random NI, swapping with its occupant.
+            let mut placement = base.core_mapping().clone();
+            let cores: Vec<CoreId> = placement.keys().copied().collect();
+            let a = cores[rng.gen_range(0..cores.len())];
+            let target = m.topology().nis()[rng.gen_range(0..m.topology().ni_count())];
+            let from = placement[&a];
+            if let Some(b) = placement
+                .iter()
+                .find(|&(_, &ni)| ni == target)
+                .map(|(&b, _)| b)
+            {
+                placement.insert(b, from);
+            }
+            placement.insert(a, target);
+            let moved = |core: CoreId| placement[&core] != base.core_mapping()[&core];
+            let affected: Vec<bool> = merged
+                .iter()
+                .map(|flows| rng.gen_bool(0.3) || flows.keys().any(|&(s, d)| moved(s) || moved(d)))
+                .collect();
+            let before = checked_picks();
+            let delta = reroute_preset_groups(
+                &soc, &groups, &base, &options, &placement, &affected, &merged,
+            );
+            assert!(checked_picks() > before, "seed {seed}: no pick was checked");
+            let full = map_multi_usecase(&soc, &groups, m.topology(), spec, &preset(&placement));
+            if let (Ok(delta), Ok(full)) = (delta, full) {
+                assert_eq!(delta, full, "seed {seed}: delta re-route diverged");
+                compared += 1;
+            }
+        }
+        assert!(compared >= 12, "only {compared} instances compared");
+    }
+
+    /// Under faults, a cached re-route that `MapState::fail_fast` fails
+    /// early returns exactly what the full pass returns, whatever the
+    /// partition, pick order, latency bounds and unplaced cores, also
+    /// when it leaves groups unrouted as proven by earlier calls on the
+    /// same cache.
+    #[test]
+    fn failing_fast_matches_the_full_pass_under_faults() {
+        let m = mesh(3, 3, 1);
+        let topo = m.topology();
+        let spec = TdmaSpec::paper_default();
+        let (mut compared, failed_before, proven_before) =
+            (0, FAILED_FAST.with(Cell::get), LEFT_PROVEN.with(Cell::get));
+        for seed in 0..256 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let use_cases = rng.gen_range(2..=7usize);
+            let mut soc = SocSpec::new("faulted");
+            for u in 0..use_cases {
+                let mut b = UseCaseBuilder::new(format!("u{u}"));
+                let mut pairs = BTreeSet::new();
+                while pairs.len() < rng.gen_range(1..=4usize) {
+                    let (src, dst) = (rng.gen_range(0..8u32), rng.gen_range(0..8u32));
+                    if src != dst && pairs.insert((src, dst)) {
+                        let latency = if rng.gen_bool(0.3) {
+                            Latency::from_ns(rng.gen_range(4..40u64))
+                        } else {
+                            Latency::UNCONSTRAINED
+                        };
+                        b = b
+                            .flow(c(src), c(dst), bw(rng.gen_range(10..1500u64)), latency)
+                            .unwrap();
+                    }
+                }
+                soc.add_use_case(b.build());
+            }
+            let groups = random_groups(&mut rng, use_cases);
+            let merged = merged_group_flows(&soc, &groups);
+            // A random placement of the cores on distinct NIs.
+            let mut nis = topo.nis().to_vec();
+            let mut placement: BTreeMap<CoreId, NodeId> = soc
+                .cores()
+                .into_iter()
+                .map(|core| (core, nis.swap_remove(rng.gen_range(0..nis.len()))))
+                .collect();
+            let mut options = MapperOptions {
+                prefer_mapped: rng.gen_bool(0.5),
+                sort_by_bandwidth: rng.gen_bool(0.5),
+                ..Default::default()
+            };
+            for _ in 0..rng.gen_range(1..=6) {
+                let link = topo.links()[rng.gen_range(0..topo.link_count())].id();
+                options.faults.fail_link(link);
+            }
+            let base = MappingSolution::new(
+                topo.clone(),
+                "base".to_string(),
+                spec,
+                placement.clone(),
+                vec![GroupConfig::new(); groups.group_count()],
+            );
+            let (mut fast_cache, mut full_cache) =
+                (RouteCache::new(&merged), RouteCache::new(&merged));
+            // Several re-routes on one cache: a core moves between them,
+            // and now and then one is left for the pass to place.
+            for step in 0..6 {
+                let mut moved = placement.clone();
+                let cores: Vec<CoreId> = moved.keys().copied().collect();
+                if rng.gen_bool(0.5) {
+                    let (a, b) = (rng.gen_range(0..cores.len()), rng.gen_range(0..cores.len()));
+                    let (na, nb) = (moved[&cores[a]], moved[&cores[b]]);
+                    moved.insert(cores[a], nb);
+                    moved.insert(cores[b], na);
+                    placement = moved.clone();
+                }
+                if rng.gen_bool(0.15) {
+                    moved.remove(&cores[rng.gen_range(0..cores.len())]);
+                }
+                let affected: Vec<bool> = (0..groups.group_count())
+                    .map(|_| rng.gen_bool(0.7))
+                    .collect();
+                let reroute = |cache: &mut RouteCache| {
+                    reroute_preset_groups_cached(
+                        &soc, &groups, &base, &options, &moved, &affected, &merged, cache,
+                    )
+                };
+                let fast = reroute(&mut fast_cache);
+                FULL_PASS_ONLY.with(|f| f.set(true));
+                let full = reroute(&mut full_cache);
+                FULL_PASS_ONLY.with(|f| f.set(false));
+                assert_eq!(fast, full, "seed {seed} step {step}: failing fast diverged");
+                assert_eq!(fast_cache.groups(), full_cache.groups());
+                compared += 1;
+            }
+        }
+        assert_eq!(compared, 256 * 6);
+        let failed_fast = FAILED_FAST.with(Cell::get) - failed_before;
+        let left_proven = LEFT_PROVEN.with(Cell::get) - proven_before;
+        assert!(failed_fast >= 256, "only {failed_fast} runs failed fast");
+        assert!(left_proven >= 64, "only {left_proven} groups left proven");
     }
 }

@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 
 use noc_topology::units::{Bandwidth, Latency};
-use noc_usecase::spec::{CoreId, SocSpec};
+use noc_usecase::spec::{CoreId, SocSpec, UseCase};
 use noc_usecase::UseCaseGroups;
 
 /// The merged constraint of one `(src, dst)` pair within a group.
@@ -68,18 +68,26 @@ pub fn merged_group_flows(
         soc.use_case_count(),
         "group partition must cover the spec's use-cases"
     );
-    let mut merged: Vec<BTreeMap<(CoreId, CoreId), MergedFlow>> =
-        vec![BTreeMap::new(); groups.group_count()];
-    for uc_id in soc.use_case_ids() {
-        let g = groups.group_of(uc_id);
-        for flow in soc.use_case(uc_id).flows() {
-            let entry = merged[g].entry(flow.endpoints()).or_insert(MergedFlow {
-                bandwidth: Bandwidth::ZERO,
-                latency: Latency::UNCONSTRAINED,
-            });
-            entry.bandwidth = entry.bandwidth.max(flow.bandwidth());
-            entry.latency = entry.latency.min(flow.latency());
-        }
+    groups
+        .groups()
+        .iter()
+        .map(|members| merged_flows(members.iter().map(|&uc| soc.use_case(uc))))
+        .collect()
+}
+
+/// Merged pair constraints of one group given its member use-cases —
+/// one entry of [`merged_group_flows`].
+pub fn merged_flows<'a>(
+    members: impl IntoIterator<Item = &'a UseCase>,
+) -> BTreeMap<(CoreId, CoreId), MergedFlow> {
+    let mut merged: BTreeMap<(CoreId, CoreId), MergedFlow> = BTreeMap::new();
+    for flow in members.into_iter().flat_map(UseCase::flows) {
+        let entry = merged.entry(flow.endpoints()).or_insert(MergedFlow {
+            bandwidth: Bandwidth::ZERO,
+            latency: Latency::UNCONSTRAINED,
+        });
+        entry.bandwidth = entry.bandwidth.max(flow.bandwidth());
+        entry.latency = entry.latency.min(flow.latency());
     }
     merged
 }

@@ -146,9 +146,23 @@ impl MappingSolution {
         &self.core_to_ni
     }
 
+    /// The core → NI assignment, for a caller that edits a running
+    /// solution in place (the online service unseats a departing
+    /// use-case's cores).
+    pub fn core_mapping_mut(&mut self) -> &mut BTreeMap<CoreId, NodeId> {
+        &mut self.core_to_ni
+    }
+
     /// Per-group NoC configurations, indexed by group id.
     pub fn group_configs(&self) -> &[GroupConfig] {
         &self.group_configs
+    }
+
+    /// The per-group configurations, for a caller that inserts or
+    /// removes a group's config wherever it inserts or removes the
+    /// group itself (the online service, one group per use-case).
+    pub fn group_configs_mut(&mut self) -> &mut Vec<GroupConfig> {
+        &mut self.group_configs
     }
 
     /// The configuration of one group.

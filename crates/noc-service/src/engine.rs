@@ -12,10 +12,13 @@
 //! Admission ([`AdmitMode::Incremental`], the default) goes through
 //! [`nocmap::admit_group`]: greedy placement on free NIs, one group
 //! route (everything else spliced from the running solution), and
-//! displacement under the eviction budget on conflict. The per-use-case
-//! route store re-seeds each admission's [`RouteCache`] with every
-//! signature routed since that use-case was admitted, so repeated
-//! displacement probes across the stream hit the cache.
+//! displacement under the eviction budget on conflict. The engine keeps
+//! its state — the admitted use-cases, their merged flows, one
+//! [`RouteCache`] row per use-case and the running solution — alive
+//! across requests and edits it one use-case at a time, so an admission
+//! costs the groups it touches. A cache row keeps every signature routed
+//! since its use-case was admitted, so repeated displacement probes
+//! across the stream hit the cache.
 //! [`AdmitMode::Resolve`] is the from-scratch baseline: every applied
 //! add/modify re-runs the full batch mapper over all admitted use-cases
 //! — the `pr9` perf record contrasts the two on identical traces.
@@ -24,9 +27,9 @@
 //!
 //! `fault link|ni <idx>…` requests are queued like mutations; at the
 //! reconfiguration point that applies one, the engine adds the named
-//! resources to [`MapperOptions::faults`], drops its route store (those
-//! configs were routed on the pre-fault fabric and must not be spliced
-//! or cache-seeded again), and runs [`nocmap::heal()`] over the running
+//! resources to [`MapperOptions::faults`], empties its route cache
+//! (those configs were routed on the pre-fault fabric and must not be
+//! spliced again), and runs [`nocmap::heal()`] over the running
 //! solution. Groups the heal cannot service are *parked*: their
 //! configs are emptied, their exclusive cores unplaced, and their ids
 //! reported `degraded` by `health` until an explicit `heal` request
@@ -52,14 +55,15 @@ use std::fmt::Write as _;
 use noc_obs::Counter;
 use noc_tdma::TdmaSpec;
 use noc_topology::units::{Bandwidth, Frequency, Latency, LinkWidth};
-use noc_topology::{FaultSet, MeshBuilder, NodeId, Topology};
-use noc_usecase::spec::{CoreId, SocSpec, UseCase, UseCaseBuilder};
+use noc_topology::{FaultSet, MeshBuilder, NodeId};
+use noc_usecase::spec::{CoreId, SocSpec, UseCase, UseCaseBuilder, UseCaseId};
 use noc_usecase::UseCaseGroups;
+use nocmap::merge::MergedFlow;
 use nocmap::remap::RemapConfig;
 use nocmap::strategy::displacement_eviction_budget;
 use nocmap::{
-    admit_group, map_multi_usecase, merged_group_flows, GroupConfig, HealOutcome, MapperOptions,
-    MappingSolution, RouteCache,
+    admit_group, map_multi_usecase, merged_flows, CachedGroup, GroupConfig, HealOutcome,
+    MapperOptions, MappingSolution, RouteCache,
 };
 
 use crate::protocol::{parse_command, Command, FaultTarget, FlowSpec, TERMINATOR};
@@ -188,22 +192,26 @@ impl ServiceStats {
 
 /// The admission engine. See the module docs; the socket layer
 /// ([`crate::net`]) is a thin transport over [`Engine::submit_line`].
+///
+/// Use-case `i` of `soc` is group `i` of the mapping (singleton groups),
+/// and `merged`, the cache rows and the solution's configs are indexed
+/// the same way: every edit inserts or removes at one index in all four.
 #[derive(Debug)]
 pub struct Engine {
     cfg: EngineConfig,
-    topo: Topology,
-    spec: TdmaSpec,
     options: MapperOptions,
     /// Admitted use-cases in admission order (a modify re-admits at the
-    /// back).
-    ucs: Vec<(String, UseCase)>,
-    /// Preset-pure per-group configs, parallel to `ucs`.
-    configs: Vec<GroupConfig>,
-    /// Core → NI placement of every referenced core.
-    placement: BTreeMap<CoreId, NodeId>,
-    /// Per use-case id: every `signature → config` routed while the
-    /// use-case's flows were live (invalidated on modify/remove).
-    store: BTreeMap<String, BTreeMap<Vec<NodeId>, GroupConfig>>,
+    /// back), each named by its request id.
+    soc: SocSpec,
+    /// The merged flows of each use-case's group.
+    merged: Vec<BTreeMap<(CoreId, CoreId), MergedFlow>>,
+    /// Per use-case: every `signature → config` a successful admission
+    /// routed while the use-case's flows were live (dropped on modify,
+    /// remove and on a fault that fails a new resource).
+    cache: RouteCache,
+    /// The running mapping: the placement of every referenced core and
+    /// one preset-pure config per use-case.
+    solution: MappingSolution,
     /// Ids of parked (degraded) use-cases: admitted but unserviced
     /// until an explicit `heal` re-admits them.
     parked: BTreeSet<String>,
@@ -211,6 +219,18 @@ pub struct Engine {
     seq: u64,
     stats: ServiceStats,
     shutdown: bool,
+}
+
+/// A use-case taken out of the engine's per-use-case state, with what
+/// putting it back needs.
+struct Taken {
+    uc: UseCase,
+    flows: BTreeMap<(CoreId, CoreId), MergedFlow>,
+    row: CachedGroup,
+    config: GroupConfig,
+    /// Its cores no remaining use-case references, with the NIs they
+    /// were unseated from.
+    unseated: Vec<(CoreId, NodeId)>,
 }
 
 impl Engine {
@@ -230,15 +250,14 @@ impl Engine {
             Frequency::from_mhz(cfg.freq_mhz),
             LinkWidth::BITS_32,
         );
+        let label = format!("{}sw", topo.switch_count());
         Ok(Engine {
             cfg,
-            topo,
-            spec,
             options: MapperOptions::default(),
-            ucs: Vec::new(),
-            configs: Vec::new(),
-            placement: BTreeMap::new(),
-            store: BTreeMap::new(),
+            soc: SocSpec::new("nocd"),
+            merged: Vec::new(),
+            cache: RouteCache::new(&[]),
+            solution: MappingSolution::new(topo, label, spec, BTreeMap::new(), Vec::new()),
             parked: BTreeSet::new(),
             pending: VecDeque::new(),
             seq: 0,
@@ -259,16 +278,12 @@ impl Engine {
 
     /// The current total communication cost (exact bytes/s·hops).
     pub fn comm_cost(&self) -> u128 {
-        self.configs
-            .iter()
-            .flat_map(|g| g.iter())
-            .map(|(_, r)| r.bandwidth.as_bytes_per_sec() as u128 * r.hops() as u128)
-            .sum()
+        self.solution.comm_cost_bytes_hops()
     }
 
     /// Admitted use-case count.
     pub fn use_case_count(&self) -> usize {
-        self.ucs.len()
+        self.soc.use_case_count()
     }
 
     /// The active fault set.
@@ -352,8 +367,8 @@ impl Engine {
                 let _ = writeln!(
                     out,
                     "use_cases={} cores={} free_nis={} comm_cost={}",
-                    self.ucs.len(),
-                    self.placement.len(),
+                    self.soc.use_case_count(),
+                    self.solution.core_mapping().len(),
                     self.free_ni_count(),
                     self.comm_cost()
                 );
@@ -379,20 +394,21 @@ impl Engine {
                 let _ = writeln!(
                     out,
                     "ok snapshot use_cases={} cores={}",
-                    self.ucs.len(),
-                    self.placement.len()
+                    self.soc.use_case_count(),
+                    self.solution.core_mapping().len()
                 );
                 for e in &events {
                     out.push_str(e);
                     out.push('\n');
                 }
-                for (id, uc) in &self.ucs {
+                for uc in self.soc.use_cases() {
+                    let id = uc.name();
                     // `.get()`, not indexing: a parked use-case's cores
                     // are legitimately unplaced.
                     let seats: Vec<String> = uc
                         .cores()
                         .iter()
-                        .map(|c| match self.placement.get(c) {
+                        .map(|c| match self.solution.core_mapping().get(c) {
                             Some(ni) => format!("{c}->{ni}"),
                             None => format!("{c}->?"),
                         })
@@ -431,7 +447,7 @@ impl Engine {
                 let _ = writeln!(
                     out,
                     "ok health use_cases={} degraded={} links_failed={} nis_failed={}",
-                    self.ucs.len(),
+                    self.soc.use_case_count(),
                     self.parked.len(),
                     f.failed_link_count(),
                     f.failed_ni_count()
@@ -440,7 +456,8 @@ impl Engine {
                     out.push_str(e);
                     out.push('\n');
                 }
-                for (id, _) in &self.ucs {
+                for uc in self.soc.use_cases() {
+                    let id = uc.name();
                     let state = if self.parked.contains(id) {
                         "degraded"
                     } else {
@@ -509,11 +526,8 @@ impl Engine {
                     self.stats.errors += 1;
                     return format!("#{seq} remove {id}: error unknown-id");
                 };
-                let (_, uc) = self.ucs.remove(at);
-                self.configs.remove(at);
-                self.store.remove(&id);
+                let freed = self.take(at).unseated.len();
                 self.parked.remove(&id);
-                let freed = self.prune_placement(&uc);
                 format!("#{seq} remove {id}: removed freed={freed}")
             }
             Command::Fault { target, indices } => self.apply_fault(seq, target, &indices),
@@ -524,9 +538,10 @@ impl Engine {
     /// Applies one `fault` request: injects the named failures, then
     /// auto-heals the running mapping around them.
     fn apply_fault(&mut self, seq: u64, target: FaultTarget, indices: &[usize]) -> String {
+        let topo = self.solution.topology();
         let available = match target {
-            FaultTarget::Link => self.topo.link_count(),
-            FaultTarget::Ni => self.topo.ni_count(),
+            FaultTarget::Link => topo.link_count(),
+            FaultTarget::Ni => topo.ni_count(),
         };
         // Atomic: one out-of-range index rejects the whole request.
         if let Some(&bad) = indices.iter().find(|&&i| i >= available) {
@@ -539,8 +554,8 @@ impl Engine {
         let mut injected = 0u64;
         for &i in indices {
             let newly = match target {
-                FaultTarget::Link => self.options.faults.fail_link(self.topo.links()[i].id()),
-                FaultTarget::Ni => self.options.faults.fail_ni(self.topo.nis()[i]),
+                FaultTarget::Link => self.options.faults.fail_link(topo.links()[i].id()),
+                FaultTarget::Ni => self.options.faults.fail_ni(topo.nis()[i]),
             };
             if newly {
                 injected += 1;
@@ -560,28 +575,26 @@ impl Engine {
         if injected == 0 {
             return format!("{head} (already failed)");
         }
-        // Every stored config was routed on the pre-fault fabric; none
-        // may be spliced or cache-seeded again.
-        self.store.clear();
-        if self.ucs.is_empty() {
+        // Every cached config was routed on the pre-fault fabric; none
+        // may be spliced again.
+        self.cache.clear();
+        if self.soc.use_case_count() == 0 {
             return head;
         }
-        let (soc, groups) = self.soc_current();
-        let base = MappingSolution::new(
-            self.topo.clone(),
-            format!("{}sw", self.topo.switch_count()),
-            self.spec,
-            self.placement.clone(),
-            self.configs.clone(),
-        );
-        match nocmap::heal(&soc, &groups, &base, &self.options, &RemapConfig::default()) {
+        let groups = UseCaseGroups::singletons(self.soc.use_case_count());
+        match nocmap::heal(
+            &self.soc,
+            &groups,
+            &self.solution,
+            &self.options,
+            &RemapConfig::default(),
+        ) {
             HealOutcome::Healed {
                 solution,
                 rerouted,
                 moved,
             } => {
-                self.placement = solution.core_mapping().clone();
-                self.configs = solution.group_configs().to_vec();
+                self.solution = solution;
                 format!("{head} healed rerouted={rerouted} moved={}", moved.len())
             }
             HealOutcome::Degraded {
@@ -590,9 +603,8 @@ impl Engine {
                 rerouted,
                 moved,
             } => {
-                self.placement = solution.core_mapping().clone();
-                self.configs = solution.group_configs().to_vec();
-                let ids: Vec<String> = dead.iter().map(|&g| self.ucs[g].0.clone()).collect();
+                self.solution = solution;
+                let ids: Vec<String> = dead.iter().map(|&g| self.id_at(g).to_string()).collect();
                 for id in &ids {
                     self.park(id);
                 }
@@ -606,7 +618,12 @@ impl Engine {
             HealOutcome::Infeasible { error } => {
                 // No repaired solution exists: park everything rather
                 // than keep routes that may cross failed resources.
-                let ids: Vec<String> = self.ucs.iter().map(|(id, _)| id.clone()).collect();
+                let ids: Vec<String> = self
+                    .soc
+                    .use_cases()
+                    .iter()
+                    .map(|uc| uc.name().to_string())
+                    .collect();
                 for id in &ids {
                     self.park(id);
                 }
@@ -625,17 +642,18 @@ impl Engine {
         let Some(at) = self.index_of(id) else {
             return;
         };
-        self.configs[at] = GroupConfig::new();
-        let uc = self.ucs[at].1.clone();
+        self.solution.group_configs_mut()[at] = GroupConfig::new();
         let live: BTreeSet<CoreId> = self
-            .ucs
+            .soc
+            .use_cases()
             .iter()
-            .filter(|(uid, _)| !self.parked.contains(uid))
-            .flat_map(|(_, u)| u.cores())
+            .filter(|uc| !self.parked.contains(uc.name()))
+            .flat_map(UseCase::cores)
             .collect();
-        for core in uc.cores() {
+        let placement = self.solution.core_mapping_mut();
+        for core in self.soc.use_cases()[at].cores() {
             if !live.contains(&core) {
-                self.placement.remove(&core);
+                placement.remove(&core);
             }
         }
     }
@@ -652,12 +670,15 @@ impl Engine {
             let Some(at) = self.index_of(&id) else {
                 continue;
             };
-            let (_, uc) = self.ucs.remove(at);
-            let cfg = self.configs.remove(at);
-            let saved_placement = self.placement.clone();
-            self.prune_placement(&uc);
-            match self.admit_incremental(&id, &uc) {
+            let mut old = self.take(at);
+            match self.admit_incremental(old.uc.clone()) {
                 Ok((cost, placed, moved)) => {
+                    // The revived use-case keeps the configs cached
+                    // before it was parked over new ones.
+                    let rows = self.cache.groups_mut();
+                    let newer = rows.pop().expect("the admitted use-case has a row");
+                    old.row.keep_over(newer);
+                    rows.push(old.row);
                     self.parked.remove(&id);
                     self.stats.healed += 1;
                     revived += 1;
@@ -666,9 +687,7 @@ impl Engine {
                     ));
                 }
                 Err(reason) => {
-                    self.placement = saved_placement;
-                    self.ucs.insert(at, (id.clone(), uc));
-                    self.configs.insert(at, cfg);
+                    self.put_back(at, old);
                     lines.push(format!("uc {id}: degraded {reason}"));
                 }
             }
@@ -678,18 +697,8 @@ impl Engine {
 
     /// NIs that are neither occupied nor failed.
     fn free_ni_count(&self) -> usize {
-        let usable = self.topo.ni_count() - self.options.faults.failed_ni_count();
-        usable.saturating_sub(self.placement.len())
-    }
-
-    /// The running spec as singleton groups (no extra use-case).
-    fn soc_current(&self) -> (SocSpec, UseCaseGroups) {
-        let mut soc = SocSpec::new("nocd");
-        for (_, existing) in &self.ucs {
-            soc.add_use_case(existing.clone());
-        }
-        let groups = UseCaseGroups::singletons(soc.use_case_count());
-        (soc, groups)
+        let usable = self.solution.topology().ni_count() - self.options.faults.failed_ni_count();
+        usable.saturating_sub(self.solution.core_mapping().len())
     }
 
     /// Admits (or, with `replace_at`, atomically re-admits) a use-case.
@@ -714,28 +723,14 @@ impl Engine {
         span.attr("seq", seq);
 
         // A modify re-admits against the state without its old version;
-        // the removal is rolled back wholesale if the new version is
-        // rejected, so a failed modify leaves the engine untouched
-        // (minus the old version's now-stale route-store entry).
-        let mut old: Option<(
-            usize,
-            String,
-            UseCase,
-            GroupConfig,
-            BTreeMap<CoreId, NodeId>,
-        )> = None;
-        if let Some(at) = replace_at {
-            let (oid, ouc) = self.ucs.remove(at);
-            let ocfg = self.configs.remove(at);
-            self.store.remove(&oid);
-            let saved_placement = self.placement.clone();
-            self.prune_placement(&ouc);
-            old = Some((at, oid, ouc, ocfg, saved_placement));
-        }
+        // the removal is rolled back if the new version is rejected, so
+        // a failed modify leaves the engine as it was, minus the old
+        // version's now-stale cached configs.
+        let old = replace_at.map(|at| (at, self.take(at)));
 
         let outcome = match self.cfg.mode {
-            AdmitMode::Incremental => self.admit_incremental(&id, &uc),
-            AdmitMode::Resolve => self.admit_resolve(&id, &uc),
+            AdmitMode::Incremental => self.admit_incremental(uc),
+            AdmitMode::Resolve => self.admit_resolve(uc),
         };
         match outcome {
             Ok((cost, placed, moved)) => {
@@ -755,10 +750,9 @@ impl Engine {
             }
             Err(reason) => {
                 self.stats.rejected += 1;
-                if let Some((at, oid, ouc, ocfg, saved_placement)) = old {
-                    self.placement = saved_placement;
-                    self.ucs.insert(at, (oid, ouc));
-                    self.configs.insert(at, ocfg);
+                if let Some((at, mut old)) = old {
+                    old.row = CachedGroup::new(&old.flows);
+                    self.put_back(at, old);
                 }
                 span.attr("admitted", 0u64);
                 format!("#{seq} {op} {id}: rejected {reason}")
@@ -766,111 +760,127 @@ impl Engine {
         }
     }
 
-    fn admit_incremental(&mut self, id: &str, uc: &UseCase) -> Result<(u128, usize, u64), String> {
-        let (soc, groups) = self.soc_with(uc);
-        let group = groups.group_count() - 1;
-        let merged = merged_group_flows(&soc, &groups);
-        let mut base_configs = self.configs.clone();
-        base_configs.push(GroupConfig::new());
-        let base = MappingSolution::new(
-            self.topo.clone(),
-            format!("{}sw", self.topo.switch_count()),
-            self.spec,
-            self.placement.clone(),
-            base_configs,
-        );
-        let mut cache = RouteCache::new(&merged);
-        for (g, (gid, _)) in self.ucs.iter().enumerate() {
-            if let Some(entries) = self.store.get(gid) {
-                for (sig, config) in entries {
-                    cache.insert(g, sig.clone(), config.clone());
-                }
-            }
-        }
+    /// Admits `uc` as the last group through [`admit_group`]; a rejected
+    /// use-case leaves no trace.
+    fn admit_incremental(&mut self, uc: UseCase) -> Result<(u128, usize, u64), String> {
+        self.push(uc);
+        let group = self.soc.use_case_count() - 1;
+        let groups = UseCaseGroups::singletons(group + 1);
         match admit_group(
-            &soc,
+            &self.soc,
             &groups,
-            &base,
+            &self.solution,
             &self.options,
             group,
             self.cfg.budget,
-            &merged,
-            &mut cache,
+            &self.merged,
+            &mut self.cache,
         ) {
             Ok(adm) => {
-                self.ucs.push((id.to_string(), uc.clone()));
-                self.placement = adm.solution.core_mapping().clone();
-                self.configs = adm.solution.group_configs().to_vec();
-                for (g, (gid, _)) in self.ucs.iter().enumerate() {
-                    let entries = self.store.entry(gid.clone()).or_default();
-                    for (sig, config) in cache.group_entries(g) {
-                        entries.entry(sig.clone()).or_insert_with(|| config.clone());
-                    }
-                }
+                self.solution = adm.solution;
                 Ok((
-                    adm.solution.comm_cost_bytes_hops(),
+                    self.solution.comm_cost_bytes_hops(),
                     adm.placed.len(),
                     adm.evictions,
                 ))
             }
-            Err(reason) => Err(reason.to_string()),
+            Err(reason) => {
+                self.pop();
+                Err(reason.to_string())
+            }
         }
     }
 
-    fn admit_resolve(&mut self, id: &str, uc: &UseCase) -> Result<(u128, usize, u64), String> {
-        let (soc, groups) = self.soc_with(uc);
-        match map_multi_usecase(&soc, &groups, &self.topo, self.spec, &self.options) {
+    fn admit_resolve(&mut self, uc: UseCase) -> Result<(u128, usize, u64), String> {
+        let placement = self.solution.core_mapping();
+        let placed = uc
+            .cores()
+            .iter()
+            .filter(|c| !placement.contains_key(c))
+            .count();
+        self.push(uc);
+        let groups = UseCaseGroups::singletons(self.soc.use_case_count());
+        match map_multi_usecase(
+            &self.soc,
+            &groups,
+            self.solution.topology(),
+            self.solution.spec(),
+            &self.options,
+        ) {
             Ok(sol) => {
-                let placed = uc
-                    .cores()
-                    .iter()
-                    .filter(|c| !self.placement.contains_key(c))
-                    .count();
                 let moved = self
-                    .placement
+                    .solution
+                    .core_mapping()
                     .iter()
                     .filter(|(c, ni)| sol.core_mapping().get(c).is_some_and(|n| n != *ni))
                     .count() as u64;
-                self.ucs.push((id.to_string(), uc.clone()));
-                self.placement = sol.core_mapping().clone();
-                self.configs = sol.group_configs().to_vec();
+                self.solution = sol;
                 noc_obs::count(Counter::Admissions, 1);
                 noc_obs::count(Counter::DisplacementEvictions, moved);
-                Ok((sol.comm_cost_bytes_hops(), placed, moved))
+                Ok((self.solution.comm_cost_bytes_hops(), placed, moved))
             }
             Err(e) => {
+                self.pop();
                 noc_obs::count(Counter::Rejections, 1);
                 Err(format!("unroutable: {e}"))
             }
         }
     }
 
-    /// The running spec plus one more use-case, as singleton groups.
-    fn soc_with(&self, uc: &UseCase) -> (SocSpec, UseCaseGroups) {
-        let mut soc = SocSpec::new("nocd");
-        for (_, existing) in &self.ucs {
-            soc.add_use_case(existing.clone());
-        }
-        soc.add_use_case(uc.clone());
-        let groups = UseCaseGroups::singletons(soc.use_case_count());
-        (soc, groups)
-    }
-
     fn index_of(&self, id: &str) -> Option<usize> {
-        self.ucs.iter().position(|(uid, _)| uid == id)
+        self.soc.use_cases().iter().position(|uc| uc.name() == id)
     }
 
-    /// Drops placement entries for cores of `removed` that no remaining
-    /// use-case references; returns how many were freed.
-    fn prune_placement(&mut self, removed: &UseCase) -> usize {
-        let live: BTreeSet<CoreId> = self.ucs.iter().flat_map(|(_, uc)| uc.cores()).collect();
-        let mut freed = 0;
-        for core in removed.cores() {
-            if !live.contains(&core) && self.placement.remove(&core).is_some() {
-                freed += 1;
-            }
+    fn id_at(&self, at: usize) -> &str {
+        self.soc.use_cases()[at].name()
+    }
+
+    /// Appends `uc` as a new group with no config and no cached routes.
+    fn push(&mut self, uc: UseCase) {
+        let flows = merged_flows([&uc]);
+        self.cache.groups_mut().push(CachedGroup::new(&flows));
+        self.merged.push(flows);
+        self.soc.add_use_case(uc);
+        self.solution.group_configs_mut().push(GroupConfig::new());
+    }
+
+    /// Undoes [`Self::push`].
+    fn pop(&mut self) {
+        let last = self.soc.use_case_count() - 1;
+        self.soc.remove_use_case(UseCaseId::new(last as u32));
+        self.merged.pop();
+        self.cache.groups_mut().pop();
+        self.solution.group_configs_mut().pop();
+    }
+
+    /// Takes use-case `at` out of every per-use-case structure and
+    /// unseats its cores that no remaining use-case references.
+    fn take(&mut self, at: usize) -> Taken {
+        let uc = self.soc.remove_use_case(UseCaseId::new(at as u32));
+        let placement = self.solution.core_mapping_mut();
+        let unseated = uc
+            .cores()
+            .into_iter()
+            .filter(|&c| !self.soc.has_core(c))
+            .filter_map(|c| placement.remove(&c).map(|ni| (c, ni)))
+            .collect();
+        Taken {
+            uc,
+            flows: self.merged.remove(at),
+            row: self.cache.groups_mut().remove(at),
+            config: self.solution.group_configs_mut().remove(at),
+            unseated,
         }
-        freed
+    }
+
+    /// Puts a [`Taken`] use-case back at `at`, reseating its cores.
+    fn put_back(&mut self, at: usize, taken: Taken) {
+        self.soc
+            .insert_use_case(UseCaseId::new(at as u32), taken.uc);
+        self.merged.insert(at, taken.flows);
+        self.cache.groups_mut().insert(at, taken.row);
+        self.solution.group_configs_mut().insert(at, taken.config);
+        self.solution.core_mapping_mut().extend(taken.unseated);
     }
 }
 
@@ -892,4 +902,290 @@ fn build_use_case(id: &str, flows: &[FlowSpec]) -> Result<UseCase, String> {
             .map_err(|e| e.to_string())?;
     }
     Ok(b.build())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nocmap::merged_group_flows;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// What the responses say is admitted: `(id, flows)` in engine
+    /// order, plus the parked ids.
+    #[derive(Default)]
+    struct Model {
+        admitted: Vec<(String, Vec<FlowSpec>)>,
+        parked: BTreeSet<String>,
+        /// Queued mutations by sequence number.
+        queued: BTreeMap<u64, Command>,
+        seq: u64,
+        /// Ids whose cached configs the last line may drop (modified or
+        /// removed), and whether it failed a new resource (drops all).
+        dropped: BTreeSet<String>,
+        fabric_changed: bool,
+        /// Refused modifies, parkings and revivals seen.
+        rollbacks: u64,
+        parkings: u64,
+        revivals: u64,
+    }
+
+    impl Model {
+        fn position(&self, id: &str) -> Option<usize> {
+            self.admitted.iter().position(|(uid, _)| uid == id)
+        }
+
+        fn move_to_back(&mut self, id: &str, flows: Option<Vec<FlowSpec>>) {
+            let at = self.position(id).expect("moved ids are admitted");
+            let (id, old) = self.admitted.remove(at);
+            self.admitted.push((id, flows.unwrap_or(old)));
+        }
+
+        /// Reads one request and its response.
+        fn observe(&mut self, line: &str, response: &str) {
+            let cmd = parse_command(line).expect("generated lines parse");
+            let heal = matches!(cmd, Some(Command::Heal));
+            self.dropped.clear();
+            self.fabric_changed = false;
+            if let Some(
+                cmd @ (Command::Add { .. }
+                | Command::Modify { .. }
+                | Command::Remove { .. }
+                | Command::Fault { .. }),
+            ) = cmd
+            {
+                self.seq += 1;
+                self.queued.insert(self.seq, cmd);
+            }
+            for event in response.lines() {
+                if let Some(rest) = event.strip_prefix('#') {
+                    let (seq, outcome) = rest.split_once(' ').expect("events carry a sequence");
+                    let seq: u64 = seq.parse().expect("numeric sequence");
+                    let cmd = self
+                        .queued
+                        .remove(&seq)
+                        .expect("one event per queued mutation");
+                    self.apply(cmd, outcome);
+                } else if let Some(rest) = event.strip_prefix("uc ").filter(|_| heal) {
+                    let (id, outcome) = rest.split_once(": ").expect("heal lines name an id");
+                    if outcome.starts_with("healed") {
+                        self.move_to_back(id, None);
+                        self.parked.remove(id);
+                        self.revivals += 1;
+                    }
+                }
+            }
+        }
+
+        fn apply(&mut self, cmd: Command, outcome: &str) {
+            let (_, result) = outcome.split_once(": ").expect("events carry an outcome");
+            match &cmd {
+                Command::Modify { id, .. } | Command::Remove { id }
+                    if !result.starts_with("error") =>
+                {
+                    self.dropped.insert(id.clone());
+                }
+                Command::Fault { .. } => {
+                    self.fabric_changed |= !result.starts_with("injected=0 ");
+                }
+                _ => {}
+            }
+            match cmd {
+                Command::Add { id, flows } if result.starts_with("admitted") => {
+                    self.admitted.push((id, flows));
+                }
+                Command::Modify { id, flows } if result.starts_with("admitted") => {
+                    self.move_to_back(&id, Some(flows));
+                    self.parked.remove(&id);
+                }
+                Command::Modify { .. } if result.starts_with("rejected") => self.rollbacks += 1,
+                Command::Remove { id } if result.starts_with("removed") => {
+                    let at = self.position(&id).expect("removed ids are admitted");
+                    self.admitted.remove(at);
+                    self.parked.remove(&id);
+                }
+                Command::Fault { .. } => {
+                    if result.contains(" infeasible: ") {
+                        let all: Vec<String> =
+                            self.admitted.iter().map(|(id, _)| id.clone()).collect();
+                        self.parkings += all.len() as u64;
+                        self.parked.extend(all);
+                    } else if result.contains(" degraded=") {
+                        let ids = result.rsplit_once('[').expect("degraded ids are listed").1;
+                        for id in ids.trim_end_matches(']').split(' ') {
+                            self.parkings += 1;
+                            self.parked.insert(id.to_string());
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    impl Engine {
+        /// Every use-case's cached signatures, by id.
+        fn cached_signatures(&self) -> BTreeMap<String, BTreeSet<Vec<NodeId>>> {
+            let ids = self.soc.use_cases().iter().map(|uc| uc.name().to_string());
+            let rows = self.cache.groups().iter();
+            ids.zip(rows.map(|row| row.iter().map(|(sig, _)| sig.to_vec()).collect()))
+                .collect()
+        }
+
+        /// Requires the persistent per-use-case state to equal a rebuild
+        /// from the admitted use-cases and the engine's placement.
+        fn assert_rebuilds(&self, model: &Model, context: &str) {
+            let mut soc = SocSpec::new("nocd");
+            for (id, flows) in &model.admitted {
+                soc.add_use_case(build_use_case(id, flows).expect("admitted flows are valid"));
+            }
+            assert_eq!(self.soc, soc, "{context}: use-cases");
+            assert_eq!(self.parked, model.parked, "{context}: parked ids");
+            let n = soc.use_case_count();
+            let merged = merged_group_flows(&soc, &UseCaseGroups::singletons(n));
+            assert_eq!(self.merged, merged, "{context}: merged flows");
+
+            assert_eq!(self.soc.cores(), soc.cores(), "{context}: referenced cores");
+
+            // Cache rows: one per use-case, aligned to it — each row's
+            // signature covers exactly its use-case's cores, and every
+            // cached config configures exactly its pairs.
+            let rows = self.cache.groups();
+            assert_eq!(rows.len(), n, "{context}: cache rows");
+            for (g, (row, flows)) in rows.iter().zip(&merged).enumerate() {
+                let id = soc.use_cases()[g].name();
+                assert_eq!(
+                    row.cores(),
+                    CachedGroup::new(flows).cores(),
+                    "{context}: row of {id}"
+                );
+                for (sig, config) in row.iter() {
+                    assert_eq!(sig.len(), row.cores().len(), "{context}: signature of {id}");
+                    assert!(
+                        config.iter().map(|(p, _)| p).eq(flows.keys()),
+                        "{context}: cached config of {id}"
+                    );
+                }
+            }
+
+            // The solution: one config per use-case, complete unless
+            // parked; every core of a serviced use-case seated, on a
+            // distinct surviving NI; nothing else seated.
+            let sol = &self.solution;
+            assert_eq!(sol.group_configs().len(), n, "{context}: configs");
+            let placement = sol.core_mapping();
+            for (g, (config, flows)) in sol.group_configs().iter().zip(&merged).enumerate() {
+                let id = soc.use_cases()[g].name();
+                let complete = config.iter().map(|(p, _)| p).eq(flows.keys());
+                assert!(
+                    complete || config.is_empty(),
+                    "{context}: partial config of {id}"
+                );
+                if !self.parked.contains(id) {
+                    assert!(complete, "{context}: serviced {id} lacks routes");
+                    for core in soc.use_cases()[g].cores() {
+                        assert!(
+                            placement.contains_key(&core),
+                            "{context}: {id} core {core} unseated"
+                        );
+                    }
+                }
+            }
+            assert!(
+                placement.keys().all(|&c| soc.has_core(c)),
+                "{context}: stray core"
+            );
+            let nis: BTreeSet<NodeId> = placement.values().copied().collect();
+            assert_eq!(nis.len(), placement.len(), "{context}: NI shared");
+            assert!(
+                nis.iter().all(|&ni| !self.options.faults.ni_failed(ni)),
+                "{context}: failed NI"
+            );
+        }
+    }
+
+    fn random_flows(rng: &mut SmallRng) -> String {
+        let mut pairs = BTreeSet::new();
+        let mut clauses = Vec::new();
+        while clauses.len() < rng.gen_range(1..=3usize) {
+            let (src, dst) = (rng.gen_range(0..10u32), rng.gen_range(0..10u32));
+            if src == dst || !pairs.insert((src, dst)) {
+                continue;
+            }
+            let mbps = match rng.gen_range(0..20) {
+                0 => 5000,
+                1..=4 => rng.gen_range(1100..=1900u64),
+                _ => rng.gen_range(50..=600u64),
+            };
+            let lat = if rng.gen_bool(0.1) { " 1" } else { "" };
+            clauses.push(format!("flow {src} {dst} {mbps}{lat}"));
+        }
+        clauses.join(" ; ")
+    }
+
+    fn random_line(rng: &mut SmallRng, links: usize, nis: usize) -> String {
+        let id = format!("u{}", rng.gen_range(0..8));
+        match rng.gen_range(0..100) {
+            0..=39 => format!("add {id} {}", random_flows(rng)),
+            40..=59 => format!("modify {id} {}", random_flows(rng)),
+            60..=74 => format!("remove {id}"),
+            75..=76 => format!("fault link {}", rng.gen_range(0..links)),
+            77 => format!("fault ni {}", rng.gen_range(0..nis)),
+            78..=86 => "heal".to_string(),
+            87..=90 => "flush".to_string(),
+            91..=94 => "stats".to_string(),
+            95..=97 => "snapshot".to_string(),
+            _ => "health".to_string(),
+        }
+    }
+
+    /// Random add, modify, remove, fault and heal streams on small
+    /// meshes: after every line the per-use-case state the engine edits
+    /// in place must equal a rebuild from what its responses admitted.
+    #[test]
+    fn persistent_state_matches_a_rebuild_after_every_line() {
+        let mut totals = Model::default();
+        for seed in 0..16 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let cfg = EngineConfig {
+                rows: rng.gen_range(1..=3u16),
+                cols: rng.gen_range(2..=3u16),
+                nis_per_switch: rng.gen_range(1..=2u16),
+                batch: rng.gen_range(1..=4usize),
+                ..EngineConfig::default()
+            };
+            let mut engine = Engine::new(cfg).expect("valid mesh");
+            let topo = engine.solution.topology();
+            let (links, nis) = (topo.link_count(), topo.ni_count());
+            let mut model = Model::default();
+            let mut cached = BTreeMap::new();
+            for step in 0..160 {
+                let line = random_line(&mut rng, links, nis);
+                let response = engine.submit_line(&line);
+                model.observe(&line, &response);
+                let context = format!("seed {seed} line {step} `{line}`");
+                engine.assert_rebuilds(&model, &context);
+                // Cached configs are only ever added, except for a
+                // modified or removed id and on a fabric change.
+                let now = engine.cached_signatures();
+                if !model.fabric_changed {
+                    for (id, before) in &cached {
+                        if let Some(after) = now.get(id).filter(|_| !model.dropped.contains(id)) {
+                            assert!(
+                                after.is_superset(before),
+                                "{context}: {id} lost cached configs"
+                            );
+                        }
+                    }
+                }
+                cached = now;
+            }
+            totals.rollbacks += model.rollbacks;
+            totals.parkings += model.parkings;
+            totals.revivals += model.revivals;
+        }
+        assert!(totals.rollbacks > 0, "no refused modify was rolled back");
+        assert!(totals.parkings > 0, "no use-case was parked");
+        assert!(totals.revivals > 0, "no parked use-case was revived");
+    }
 }

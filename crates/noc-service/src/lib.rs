@@ -8,8 +8,10 @@
 //! points, and each admission is placed **incrementally** by
 //! [`nocmap::admit_group`] — greedy on free NIs, displacing blocking
 //! placements under the `RemapConfig` eviction budget on conflict —
-//! instead of re-solving the whole mapping ([`engine`]). A per-use-case
-//! route store re-seeds the `RouteCache` across admissions.
+//! instead of re-solving the whole mapping ([`engine`]). The engine edits
+//! its per-use-case state (use-cases, merged flows, route-cache rows,
+//! the running solution) in place, so an admission costs the groups it
+//! touches rather than the live population.
 //!
 //! Layering (the determinism contract): [`mod@replay`] feeds a seeded
 //! request trace ([`trace`]) through the engine **in process** — its

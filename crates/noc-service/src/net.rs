@@ -176,6 +176,9 @@ impl Client {
     }
 
     fn from_stream(writer: TcpStream) -> std::io::Result<Client> {
+        // Each request is one small write answered before the next is
+        // sent; Nagle's algorithm would only delay it.
+        writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(Client { writer, reader })
     }
@@ -191,18 +194,19 @@ impl Client {
         self.writer.set_read_timeout(timeout)
     }
 
-    /// Sends one request line and reads the full framed response
-    /// (including the `.` terminator line), exactly as the engine
-    /// produced it.
+    /// Sends one request line, in a single write, and reads the full
+    /// framed response (including the `.` terminator line), exactly as
+    /// the engine produced it.
     ///
     /// # Errors
     ///
     /// I/O failures, or [`std::io::ErrorKind::UnexpectedEof`] when the
     /// daemon closes before the terminator.
     pub fn send(&mut self, line: &str) -> std::io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        let mut request = String::with_capacity(line.len() + 1);
+        request.push_str(line);
+        request.push('\n');
+        self.writer.write_all(request.as_bytes())?;
         let mut response = String::new();
         loop {
             let mut chunk = String::new();

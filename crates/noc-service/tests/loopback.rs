@@ -3,6 +3,8 @@
 //! must match what an in-process engine produces for the same lines —
 //! byte for byte.
 
+use std::time::{Duration, Instant};
+
 use noc_service::{Client, Engine, EngineConfig, Server};
 
 #[test]
@@ -37,4 +39,38 @@ fn daemon_responses_match_the_in_process_engine_verbatim() {
         .join()
         .expect("daemon thread")
         .expect("clean shutdown");
+}
+
+/// Requests on a kept-alive connection must not wait for the daemon's
+/// delayed ACK. A request sent as two writes (the line, then its
+/// newline) let Nagle's algorithm hold the newline until the first
+/// segment was acknowledged, about 40 ms later on Linux, so every round
+/// trip took at least that long; sent in one write without Nagle, a
+/// `stats` round trip on loopback takes well under a millisecond.
+#[test]
+fn kept_alive_round_trips_do_not_wait_for_a_delayed_ack() {
+    let server = Server::bind(EngineConfig::default(), 0).expect("bind on an OS-assigned port");
+    let port = server.port().expect("bound port");
+    let daemon = std::thread::spawn(move || server.run());
+    let mut client = Client::connect(("127.0.0.1", port)).expect("connect to daemon");
+
+    let mut round_trips: Vec<Duration> = (0..40)
+        .map(|_| {
+            let started = Instant::now();
+            client.send("stats").expect("framed response");
+            started.elapsed()
+        })
+        .collect();
+    client.send("shutdown").expect("framed response");
+    daemon
+        .join()
+        .expect("daemon thread")
+        .expect("clean shutdown");
+
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median round trip {median:?}: requests wait for a delayed ACK"
+    );
 }

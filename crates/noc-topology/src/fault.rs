@@ -270,6 +270,33 @@ impl<'a> DegradedView<'a> {
         }
         Err(PathError::Unreachable { src: from, dst: to })
     }
+
+    /// Minimum hop distance over surviving links from `from` to every
+    /// node, indexed by node id — one BFS where [`Self::hop_distance`]
+    /// runs one per target. An entry is `None` exactly where
+    /// `hop_distance(from, node)` errs: the node is unreachable or has
+    /// failed, or `from` itself has failed (then every entry is `None`).
+    pub fn hop_distances_from(&self, from: NodeId) -> Vec<Option<usize>> {
+        let mut dist = vec![None; self.topo.node_count()];
+        if !self.node_usable(from) {
+            return dist;
+        }
+        dist[from.index()] = Some(0);
+        let mut queue = VecDeque::from([(from, 0)]);
+        while let Some((n, d)) = queue.pop_front() {
+            for &l in self.topo.outgoing(n) {
+                if !self.link_usable(l) {
+                    continue;
+                }
+                let m = self.topo.link(l).dst();
+                if dist[m.index()].is_none() {
+                    dist[m.index()] = Some(d + 1);
+                    queue.push_back((m, d + 1));
+                }
+            }
+        }
+        dist
+    }
 }
 
 impl Topology {

@@ -2,6 +2,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::OnceLock;
 
 use noc_topology::units::{Bandwidth, Latency};
 
@@ -317,10 +318,27 @@ impl UseCaseBuilder {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct SocSpec {
     name: String,
     use_cases: Vec<UseCase>,
+    /// Flow endpoints per referenced core, over all use-cases. Counted
+    /// on first use, so parsing a spec pays nothing for it, and then
+    /// kept up to date by every insert and remove.
+    core_refs: OnceLock<BTreeMap<CoreId, usize>>,
+}
+
+/// Equal name and use-cases (the core counts follow from them).
+impl PartialEq for SocSpec {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name && self.use_cases == other.use_cases
+    }
+}
+
+impl Eq for SocSpec {}
+
+fn endpoints(uc: &UseCase) -> impl Iterator<Item = CoreId> + '_ {
+    uc.flows().iter().flat_map(|f| [f.src(), f.dst()])
 }
 
 impl SocSpec {
@@ -329,6 +347,7 @@ impl SocSpec {
         SocSpec {
             name: name.into(),
             use_cases: Vec::new(),
+            core_refs: OnceLock::new(),
         }
     }
 
@@ -340,8 +359,43 @@ impl SocSpec {
     /// Appends a use-case and returns its id.
     pub fn add_use_case(&mut self, uc: UseCase) -> UseCaseId {
         let id = UseCaseId::new(self.use_cases.len() as u32);
-        self.use_cases.push(uc);
+        self.insert_use_case(id, uc);
         id
+    }
+
+    /// Inserts a use-case as `id`, shifting the use-cases from `id` on
+    /// one id up.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is beyond [`Self::use_case_count`].
+    pub fn insert_use_case(&mut self, id: UseCaseId, uc: UseCase) {
+        if let Some(refs) = self.core_refs.get_mut() {
+            for core in endpoints(&uc) {
+                *refs.entry(core).or_default() += 1;
+            }
+        }
+        self.use_cases.insert(id.index(), uc);
+    }
+
+    /// Removes use-case `id` and returns it, shifting the later
+    /// use-cases one id down.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    pub fn remove_use_case(&mut self, id: UseCaseId) -> UseCase {
+        let uc = self.use_cases.remove(id.index());
+        if let Some(refs) = self.core_refs.get_mut() {
+            for core in endpoints(&uc) {
+                let count = refs.get_mut(&core).expect("flow endpoints are counted");
+                *count -= 1;
+                if *count == 0 {
+                    refs.remove(&core);
+                }
+            }
+        }
+        uc
     }
 
     /// All use-cases in id order.
@@ -370,13 +424,27 @@ impl SocSpec {
 
     /// The union of cores over all use-cases, sorted by id.
     pub fn cores(&self) -> Vec<CoreId> {
-        let set: BTreeSet<CoreId> = self.use_cases.iter().flat_map(|u| u.cores()).collect();
-        set.into_iter().collect()
+        self.core_refs().keys().copied().collect()
     }
 
     /// Number of distinct cores.
     pub fn core_count(&self) -> usize {
-        self.cores().len()
+        self.core_refs().len()
+    }
+
+    /// Whether any use-case references `core`.
+    pub fn has_core(&self, core: CoreId) -> bool {
+        self.core_refs().contains_key(&core)
+    }
+
+    fn core_refs(&self) -> &BTreeMap<CoreId, usize> {
+        self.core_refs.get_or_init(|| {
+            let mut refs = BTreeMap::new();
+            for core in self.use_cases.iter().flat_map(endpoints) {
+                *refs.entry(core).or_default() += 1;
+            }
+            refs
+        })
     }
 
     /// Total number of flows across all use-cases.

@@ -22,15 +22,22 @@
 //! * all of those counts are **identical at any thread count**;
 //! * deltas are **exact under concurrency**: two threads mapping at once
 //!   each see exactly the solo run's delta, and work that pool workers
-//!   do is counted on the caller exactly once.
+//!   do is counted on the caller exactly once;
+//! * a delta re-route allocates slot state and path scratch only for
+//!   the groups that **actually route**, not for every affected group.
 
 use noc_multiusecase::map::anneal::{refine, refine_cached, AnnealConfig};
 use noc_multiusecase::map::design::design_smallest_mesh;
 use noc_multiusecase::map::perf::{self, PerfSnapshot};
-use noc_multiusecase::map::MapperOptions;
+use noc_multiusecase::map::strategy::displacement_eviction_budget;
+use noc_multiusecase::map::{
+    admit_group, map_multi_usecase, merged_group_flows, GroupConfig, MapperOptions,
+    MappingSolution, Placement, RejectReason, RouteCache,
+};
 use noc_multiusecase::par::{par_map, with_threads};
 use noc_multiusecase::tdma::TdmaSpec;
 use noc_multiusecase::topology::units::{Bandwidth, Latency};
+use noc_multiusecase::topology::MeshBuilder;
 use noc_multiusecase::usecase::spec::{CoreId, SocSpec, UseCaseBuilder};
 use noc_multiusecase::usecase::UseCaseGroups;
 use std::sync::Barrier;
@@ -262,4 +269,88 @@ fn pool_worker_counts_reach_the_caller() {
             "no item of 50 width-4 regions ran on a pool worker"
         );
     });
+}
+
+/// A refused admission's repair attempts each fail on the admitted
+/// group's own pair before any other group routes, so they must
+/// allocate slot state and path scratch for that one group per attempt,
+/// not for every group a displaced core makes affected.
+#[test]
+fn refused_admission_allocates_only_for_groups_that_route() {
+    let c = CoreId::new;
+    let bw = Bandwidth::from_mbps;
+    let topo = MeshBuilder::new(2, 2)
+        .nis_per_switch(1)
+        .build()
+        .unwrap()
+        .into_topology();
+    // Two live use-cases fill all four NIs, so every displacement move
+    // evicts a core and makes its use-case's group affected.
+    let mut soc = SocSpec::new("refused");
+    for (name, src, dst) in [("u0", 0, 1), ("u1", 2, 3)] {
+        let uc = UseCaseBuilder::new(name)
+            .flow(c(src), c(dst), bw(100), Latency::UNCONSTRAINED)
+            .unwrap()
+            .build();
+        soc.add_use_case(uc);
+    }
+    let options = MapperOptions::default();
+    let spec = TdmaSpec::paper_default();
+    let greedy =
+        map_multi_usecase(&soc, &UseCaseGroups::singletons(2), &topo, spec, &options).unwrap();
+    let preset = MapperOptions {
+        placement: Placement::Preset(greedy.core_mapping().clone()),
+        ..options.clone()
+    };
+    let running =
+        map_multi_usecase(&soc, &UseCaseGroups::singletons(2), &topo, spec, &preset).unwrap();
+
+    // The admitted use-case's largest pair (routed first) has a latency
+    // bound no path meets, so every repair attempt fails on it.
+    soc.add_use_case(
+        UseCaseBuilder::new("u2")
+            .flow(c(0), c(1), bw(1500), Latency::from_ns(2))
+            .unwrap()
+            .build(),
+    );
+    let groups = UseCaseGroups::singletons(3);
+    let merged = merged_group_flows(&soc, &groups);
+    let mut configs = running.group_configs().to_vec();
+    configs.push(GroupConfig::new());
+    let base = MappingSolution::new(
+        topo.clone(),
+        running.label(),
+        spec,
+        running.core_mapping().clone(),
+        configs,
+    );
+    let mut cache = RouteCache::new(&merged);
+    let before = perf::snapshot();
+    let refused = admit_group(
+        &soc,
+        &groups,
+        &base,
+        &options,
+        2,
+        displacement_eviction_budget(),
+        &merged,
+        &mut cache,
+    );
+    let delta = perf::snapshot().since(&before);
+    assert!(
+        matches!(refused, Err(RejectReason::Unroutable(_))),
+        "the admission must be refused: {refused:?}"
+    );
+    // Each attempt routes one group once (its failing first pair), so
+    // the groups that routed are exactly the routing attempts.
+    assert_eq!(
+        delta.scratch_allocs, delta.group_routes,
+        "one allocation per group that routed"
+    );
+    assert!(
+        delta.groups_rerouted > delta.group_routes,
+        "displaced cores must have made other groups affected ({} affected, {} routed)",
+        delta.groups_rerouted,
+        delta.group_routes
+    );
 }
