@@ -2,7 +2,7 @@
 //! group into an existing mapping without re-solving from scratch.
 //!
 //! This is the core entry point behind the online mapping service
-//! (`noc-service`, ROADMAP item 1). A batch flow maps all groups at
+//! (`noc-service`, the `nocd` daemon). A batch flow maps all groups at
 //! once; a long-running daemon instead receives use-cases one at a time
 //! and must keep the network mapped with **bounded reconfiguration
 //! cost**. [`admit_group`] does exactly that:
@@ -10,7 +10,7 @@
 //! 1. **Greedy fast path** — place the group's unplaced cores on free
 //!    NIs (each core on the NI minimizing its merged
 //!    `bandwidth × hop-distance` to already-placed partners), then
-//!    route only the new group via [`reroute_preset_groups_cached`] —
+//!    route only the new group via [`reroute_preset_groups`] —
 //!    every other group's configuration is spliced verbatim from the
 //!    running solution, so an uncontended admission costs one group
 //!    route, not a full map.
@@ -42,9 +42,10 @@ use noc_usecase::spec::{CoreId, SocSpec};
 use noc_usecase::UseCaseGroups;
 
 use crate::error::MapError;
-use crate::mapper::{reroute_preset_groups_cached, MapperOptions, RouteCache};
+use crate::mapper::{reroute_preset_groups, MapperOptions, RouteCache};
 use crate::merge::MergedFlow;
 use crate::result::MappingSolution;
+use crate::seat::{displacement_targets, free_nis, seat};
 
 /// Deterministic cap on displacement repair iterations per admission
 /// (each iteration routes one candidate placement). The eviction budget
@@ -154,7 +155,7 @@ fn affected_groups(
 ///
 /// When `group` is out of range, or `base`/`merged`/`cache` disagree
 /// with `groups` on the group count (as
-/// [`reroute_preset_groups`](crate::reroute_preset_groups)).
+/// [`reroute_preset_groups`]).
 #[allow(clippy::too_many_arguments)]
 pub fn admit_group(
     soc: &SocSpec,
@@ -184,13 +185,7 @@ pub fn admit_group(
     // measured over the surviving links only (with an empty fault set
     // both reduce to the plain topology).
     let degraded = topo.degraded(&options.faults);
-    let occupied: BTreeSet<NodeId> = base.core_mapping().values().copied().collect();
-    let mut free: Vec<NodeId> = topo
-        .nis()
-        .iter()
-        .copied()
-        .filter(|&ni| !occupied.contains(&ni) && !options.faults.ni_failed(ni))
-        .collect();
+    let mut free = free_nis(degraded, base.core_mapping());
     if new_cores.len() > free.len() {
         count(Counter::Rejections, 1);
         return Err(RejectReason::NisExhausted {
@@ -204,35 +199,20 @@ pub fn admit_group(
     // (first free NI when no partner is placed yet — `nis()` order).
     let mut placement = base.core_mapping().clone();
     for &core in &new_cores {
-        let mut best: Option<(u128, usize)> = None;
-        for (i, &ni) in free.iter().enumerate() {
-            let mut cost: u128 = 0;
-            for (&(s, d), flow) in flows {
-                let partner = if s == core {
-                    d
-                } else if d == core {
-                    s
-                } else {
-                    continue;
-                };
-                if let Some(&pni) = placement.get(&partner) {
-                    let hops = degraded.hop_distance(ni, pni).unwrap_or(usize::MAX) as u128;
-                    cost += flow.bandwidth.as_bytes_per_sec() as u128 * hops;
-                }
-            }
-            if best.is_none_or(|(bc, _)| cost < bc) {
-                best = Some((cost, i));
-            }
-        }
-        let (_, i) = best.expect("free NIs checked above");
-        placement.insert(core, free.remove(i));
+        seat(
+            degraded,
+            &merged[group..=group],
+            &mut placement,
+            &mut free,
+            core,
+        );
     }
 
     let route = |placement: &BTreeMap<CoreId, NodeId>,
                  relocated: &BTreeSet<CoreId>,
                  cache: &mut RouteCache| {
         let affected = affected_groups(merged, group, relocated);
-        reroute_preset_groups_cached(
+        reroute_preset_groups(
             soc, groups, base, options, placement, &affected, merged, cache,
         )
     };
@@ -365,21 +345,10 @@ fn displacement_step(
     None
 }
 
-/// Where displacement may re-seat a core now on `from`: every surviving
-/// NI but `from`, nearest first over surviving links (unreachable ones
-/// last), then by NI index. One BFS from `from` gives every distance.
-fn displacement_targets(view: DegradedView<'_>, from: NodeId) -> Vec<NodeId> {
-    let dist = view.hop_distances_from(from);
-    let mut targets = view.usable_nis();
-    targets.retain(|&ni| ni != from);
-    targets.sort_by_key(|&ni| (dist[ni.index()].unwrap_or(usize::MAX), ni));
-    targets
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapper::{map_multi_usecase, Placement};
+    use crate::mapper::{map_multi_usecase, preset_twin, Placement};
     use crate::merge::merged_group_flows;
     use crate::result::GroupConfig;
     use crate::strategy::displacement_eviction_budget;
@@ -414,17 +383,7 @@ mod tests {
         let options = MapperOptions::default();
         let greedy =
             map_multi_usecase(soc, &groups, topo, TdmaSpec::paper_default(), &options).unwrap();
-        let preset = map_multi_usecase(
-            soc,
-            &groups,
-            topo,
-            TdmaSpec::paper_default(),
-            &MapperOptions {
-                placement: Placement::Preset(greedy.core_mapping().clone()),
-                ..options.clone()
-            },
-        )
-        .unwrap();
+        let preset = preset_twin(soc, &groups, &options, &greedy).unwrap();
         (preset, options)
     }
 

@@ -25,10 +25,14 @@
 //! **only the groups whose traffic touches a moved core**, splices the
 //! rest from the current solution, and rolls a rejected move back in
 //! place — no full re-route, no per-iteration clone of the core mapping
-//! or re-collection of the core list. The walk (RNG stream, accepted
-//! solutions, final winner) is byte-identical to the historical
-//! full-re-route implementation; `tests/perf_counters.rs` pins the op
-//! counts, the goldens pin the bytes.
+//! or re-collection of the core list. Each chain owns a [`RouteCache`]
+//! seeded from the starting solution, so a move whose affected groups
+//! revisit an already-seen placement signature splices the memoized
+//! configs instead of re-routing them (`route_cache_hits` /
+//! `route_cache_misses` in [`crate::perf`]). The walk (RNG stream,
+//! accepted solutions, final winner) is byte-identical to the
+//! historical full-re-route implementation; `tests/perf_counters.rs`
+//! pins the op counts, the goldens pin the bytes.
 
 use noc_obs::{count, Counter};
 use noc_usecase::spec::SocSpec;
@@ -37,10 +41,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::error::MapError;
-use crate::mapper::{
-    map_multi_usecase, reroute_preset_groups, reroute_preset_groups_cached, MapperOptions,
-    Placement, RouteCache,
-};
+use crate::mapper::{preset_twin, reroute_preset_groups, MapperOptions, RouteCache};
 use crate::merge::merged_group_flows;
 use crate::result::MappingSolution;
 
@@ -98,69 +99,20 @@ pub fn refine(
     initial: &MappingSolution,
     config: &AnnealConfig,
 ) -> Result<MappingSolution, MapError> {
-    refine_impl(soc, groups, options, initial, config, false)
-}
-
-/// [`refine`] with the route cache enabled: each chain owns a
-/// [`RouteCache`] seeded from the starting solution, so a move whose
-/// affected groups revisit an already-seen placement signature splices
-/// the memoized configs instead of re-routing (`route_cache_hits` /
-/// `route_cache_misses` in [`crate::perf`]). The walk — RNG stream,
-/// accepted solutions, final winner — is **byte-identical** to
-/// [`refine`]; only the op profile changes. Pinned by
-/// `tests/perf_counters.rs`.
-///
-/// # Errors
-///
-/// As [`refine`].
-pub fn refine_cached(
-    soc: &SocSpec,
-    groups: &UseCaseGroups,
-    options: &MapperOptions,
-    initial: &MappingSolution,
-    config: &AnnealConfig,
-) -> Result<MappingSolution, MapError> {
-    refine_impl(soc, groups, options, initial, config, true)
-}
-
-fn refine_impl(
-    soc: &SocSpec,
-    groups: &UseCaseGroups,
-    options: &MapperOptions,
-    initial: &MappingSolution,
-    config: &AnnealConfig,
-    use_cache: bool,
-) -> Result<MappingSolution, MapError> {
     assert!(
         config.cooling > 0.0 && config.cooling < 1.0,
         "cooling must be in (0, 1)"
     );
-    let topo = initial.topology().clone();
-    let spec = initial.spec();
-
-    let reroute = |placement: Placement| {
-        map_multi_usecase(
-            soc,
-            groups,
-            &topo,
-            spec,
-            &MapperOptions {
-                placement,
-                ..options.clone()
-            },
-        )
-    };
-
     // Re-route the initial placement so current/best are produced by the
     // same pipeline as every candidate (comparable costs).
-    let rerouted_start = reroute(Placement::Preset(initial.core_mapping().clone()))?;
+    let rerouted_start = preset_twin(soc, groups, options, initial)?;
     let initial_wins = initial.comm_cost() <= rerouted_start.comm_cost();
     let start = if initial_wins {
         initial.clone()
     } else {
         rerouted_start.clone()
     };
-    let nis = topo.nis().to_vec();
+    let nis = initial.topology().nis().to_vec();
 
     // Hoisted out of the walk: the core list never changes (moves only
     // re-place existing cores), and neither does which groups a core's
@@ -186,11 +138,8 @@ fn refine_impl(
         // Per-chain cache (schedule-independent hit/miss counts), seeded
         // with the preset-pure start so moves revisiting the starting
         // signature of a group hit immediately.
-        let mut cache = use_cache.then(|| {
-            let mut cache = RouteCache::new(&merged);
-            cache.seed(&rerouted_start);
-            cache
-        });
+        let mut cache = RouteCache::new(&merged);
+        cache.seed(&rerouted_start);
         let mut current = start.clone();
         // The splice base for delta re-routes must be a solution whose
         // per-group configs equal a full preset re-route of its own
@@ -232,14 +181,9 @@ fn refine_impl(
 
             let mut accepted = false;
             let base = shadow.as_ref().unwrap_or(&current);
-            let candidate = match cache.as_mut() {
-                Some(cache) => reroute_preset_groups_cached(
-                    soc, groups, base, options, &mapping, &affected, &merged, cache,
-                ),
-                None => {
-                    reroute_preset_groups(soc, groups, base, options, &mapping, &affected, &merged)
-                }
-            };
+            let candidate = reroute_preset_groups(
+                soc, groups, base, options, &mapping, &affected, &merged, &mut cache,
+            );
             if let Ok(candidate) = candidate {
                 let delta = candidate.comm_cost() - current.comm_cost();
                 let accept = delta <= 0.0
@@ -285,7 +229,7 @@ fn refine_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapper::Placement;
+    use crate::mapper::{map_multi_usecase, Placement};
     use noc_tdma::TdmaSpec;
     use noc_topology::units::{Bandwidth, Latency};
     use noc_topology::MeshBuilder;

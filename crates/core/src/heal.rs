@@ -13,7 +13,7 @@
 //!    the [`RemapConfig`] move budget;
 //! 2. **re-routes only the affected groups** — groups whose configured
 //!    routes cross a failed resource, or whose traffic touches a moved
-//!    core, go through [`reroute_preset_groups_cached`]; every other
+//!    core, go through [`reroute_preset_groups`]; every other
 //!    group's configuration is spliced verbatim, so a heal costs a few
 //!    group routes, never a full map;
 //! 3. **degrades instead of failing** — a group that cannot be
@@ -28,15 +28,15 @@
 use std::collections::BTreeSet;
 
 use noc_obs::{count, Counter};
-use noc_topology::NodeId;
 use noc_usecase::spec::{CoreId, SocSpec};
 use noc_usecase::UseCaseGroups;
 
 use crate::error::MapError;
-use crate::mapper::{reroute_preset_groups_cached, MapperOptions, RouteCache};
+use crate::mapper::{reroute_preset_groups, MapperOptions, RouteCache};
 use crate::merge::merged_group_flows;
 use crate::remap::RemapConfig;
 use crate::result::{GroupConfig, MappingSolution};
+use crate::seat::{free_nis, seat};
 
 /// The result of a [`heal`] pass. `Healed` and `Degraded` both carry a
 /// usable solution; `Degraded` additionally names the groups whose
@@ -131,48 +131,14 @@ pub fn heal(
         .map(|(&c, _)| c)
         .collect();
     let mut moved: Vec<CoreId> = Vec::new();
-    if !stranded.is_empty() {
-        let occupied: BTreeSet<NodeId> = placement.values().copied().collect();
-        let mut free: Vec<NodeId> = topo
-            .nis()
-            .iter()
-            .copied()
-            .filter(|&ni| !occupied.contains(&ni) && !faults.ni_failed(ni))
-            .collect();
-        for &core in &stranded {
-            if moved.len() >= remap.max_moved_cores || free.is_empty() {
-                placement.remove(&core);
-                continue;
-            }
-            let mut best: Option<(u128, usize)> = None;
-            for (i, &ni) in free.iter().enumerate() {
-                let mut cost: u128 = 0;
-                for flows in &merged {
-                    for (&(s, d), flow) in flows {
-                        let partner = if s == core {
-                            d
-                        } else if d == core {
-                            s
-                        } else {
-                            continue;
-                        };
-                        if let Some(&pni) = placement.get(&partner) {
-                            let hops =
-                                degraded_view.hop_distance(ni, pni).unwrap_or(usize::MAX) as u128;
-                            cost = cost.saturating_add(
-                                (flow.bandwidth.as_bytes_per_sec() as u128).saturating_mul(hops),
-                            );
-                        }
-                    }
-                }
-                if best.is_none_or(|(bc, _)| cost < bc) {
-                    best = Some((cost, i));
-                }
-            }
-            let (_, i) = best.expect("free list is non-empty");
-            placement.insert(core, free.remove(i));
-            moved.push(core);
+    let mut free = free_nis(degraded_view, &placement);
+    for &core in &stranded {
+        if moved.len() >= remap.max_moved_cores || free.is_empty() {
+            placement.remove(&core);
+            continue;
         }
+        seat(degraded_view, &merged, &mut placement, &mut free, core);
+        moved.push(core);
     }
 
     // Groups with an unplaced flow endpoint are degraded outright:
@@ -207,7 +173,7 @@ pub fn heal(
         })
         .collect();
 
-    let solution = if active.iter().any(|&a| a) {
+    let mut solution = if active.iter().any(|&a| a) {
         // An unroutable group degrades just that group; the retry loop
         // is deterministic because `try_par_map` reports the
         // smallest-index error, and bounded by the group count. The
@@ -215,7 +181,7 @@ pub fn heal(
         // re-routed in the next.
         let mut cache = RouteCache::new(&merged);
         loop {
-            match reroute_preset_groups_cached(
+            match reroute_preset_groups(
                 soc, groups, base, options, &placement, &active, &merged, &mut cache,
             ) {
                 Ok(sol) => break sol,
@@ -231,7 +197,7 @@ pub fn heal(
             topo.clone(),
             base.label(),
             base.spec(),
-            placement.clone(),
+            placement,
             base.group_configs().to_vec(),
         )
     };
@@ -248,17 +214,9 @@ pub fn heal(
     }
     // Tear degraded groups down to empty configs so no surviving route
     // references a failed resource.
-    let mut configs = solution.group_configs().to_vec();
     for &g in &degraded_groups {
-        configs[g] = GroupConfig::new();
+        solution.group_configs_mut()[g] = GroupConfig::new();
     }
-    let solution = MappingSolution::new(
-        solution.topology().clone(),
-        solution.label(),
-        solution.spec(),
-        solution.core_mapping().clone(),
-        configs,
-    );
     HealOutcome::Degraded {
         solution,
         groups: degraded_groups.into_iter().collect(),
@@ -270,7 +228,7 @@ pub fn heal(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapper::{map_multi_usecase, Placement};
+    use crate::mapper::{map_multi_usecase, preset_twin};
     use noc_tdma::TdmaSpec;
     use noc_topology::units::{Bandwidth, Latency};
     use noc_topology::{FaultSet, MeshBuilder, Topology};
@@ -299,17 +257,7 @@ mod tests {
         let options = MapperOptions::default();
         let greedy =
             map_multi_usecase(soc, groups, topo, TdmaSpec::paper_default(), &options).unwrap();
-        let preset = map_multi_usecase(
-            soc,
-            groups,
-            topo,
-            TdmaSpec::paper_default(),
-            &MapperOptions {
-                placement: Placement::Preset(greedy.core_mapping().clone()),
-                ..options.clone()
-            },
-        )
-        .unwrap();
+        let preset = preset_twin(soc, groups, &options, &greedy).unwrap();
         (preset, options)
     }
 

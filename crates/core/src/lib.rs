@@ -72,13 +72,13 @@ pub mod verify;
 pub mod wc;
 
 mod error;
+mod seat;
 
 pub use admit::{admit_group, Admission, RejectReason};
 pub use error::MapError;
 pub use heal::{heal, HealOutcome};
 pub use mapper::{
-    map_multi_usecase, reroute_preset_groups, reroute_preset_groups_cached, CachedGroup,
-    MapperOptions, Placement, RouteCache,
+    map_multi_usecase, reroute_preset_groups, CachedGroup, MapperOptions, Placement, RouteCache,
 };
 pub use merge::{merged_flows, merged_group_flows};
 pub use result::{GroupConfig, MappingSolution, Route};

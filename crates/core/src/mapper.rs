@@ -546,21 +546,27 @@ impl PairQueue {
     }
 }
 
-/// How `run_mapping` resolves core placement: the [`Placement`] options
-/// with the preset map *borrowed*, so delta re-routes need not clone the
-/// caller's placement per evaluation.
-enum EffectivePlacement<'p> {
-    Unified,
-    RoundRobin,
-    Preset(&'p BTreeMap<CoreId, NodeId>),
+/// What [`run_mapping`] routes, and how it places cores.
+enum MapMode<'a> {
+    /// A full map: every group, with cores placed under
+    /// `options.placement`.
+    Full,
+    /// A delta run over a preset placement: only the `active` groups
+    /// route. Under faults a run that a cut-off NI dooms fails fast,
+    /// skipping the route sequences `proven` holds (a [`RouteCache`]'s).
+    Delta {
+        placement: &'a BTreeMap<CoreId, NodeId>,
+        active: &'a [bool],
+        proven: &'a mut ProvenRoutes,
+    },
 }
 
 /// The mapping engine behind [`map_multi_usecase`] and
-/// [`reroute_preset_groups`]: routes every group whose `active` flag is
-/// set (all of them when `active` is `None`) and returns the placement
-/// plus per-group configs (`None` for skipped groups).
+/// [`reroute_preset_groups`]: routes the groups `mode` selects and
+/// returns the placement plus per-group configs (`None` for skipped
+/// groups).
 ///
-/// Group filtering is only sound with a **full preset placement**: each
+/// A delta run is only sound over a **full preset placement**: each
 /// group's configuration is then a pure function of its own cores'
 /// placements and of every group's demand on its pairs — its slot state
 /// and connection-id sequence are private, and the other groups' demands
@@ -572,22 +578,26 @@ enum EffectivePlacement<'p> {
 /// though it still reads every group's demand on them. Its work follows
 /// the active groups: capacity is checked on them alone, and a group's
 /// slot table and path scratch are allocated when it first routes.
-#[allow(clippy::too_many_arguments)]
 fn run_mapping(
     soc: &SocSpec,
     groups: &UseCaseGroups,
     topo: &Topology,
     spec: TdmaSpec,
     options: &MapperOptions,
-    placement: EffectivePlacement<'_>,
-    active: Option<&[bool]>,
     merged: &[BTreeMap<(CoreId, CoreId), MergedFlow>],
-    proven: Option<&mut ProvenRoutes>,
+    mode: MapMode<'_>,
 ) -> Result<(BTreeMap<CoreId, NodeId>, Vec<Option<GroupConfig>>), MapError> {
-    debug_assert!(
-        active.is_none() || matches!(placement, EffectivePlacement::Preset(_)),
-        "group filtering requires a full preset placement"
-    );
+    let (preset, active, proven) = match mode {
+        MapMode::Full => match &options.placement {
+            Placement::Preset(assignment) => (Some(assignment), None, None),
+            _ => (None, None, None),
+        },
+        MapMode::Delta {
+            placement,
+            active,
+            proven,
+        } => (Some(placement), Some(active), Some(proven)),
+    };
     if soc.total_flow_count() == 0 {
         return Err(MapError::EmptySpec);
     }
@@ -695,15 +705,15 @@ fn run_mapping(
         banned_base,
     };
 
-    match placement {
-        EffectivePlacement::Unified => {}
-        EffectivePlacement::RoundRobin => {
+    match preset {
+        None if options.placement == Placement::RoundRobin => {
             let nis = state.free_nis.clone();
             for (core, ni) in cores.iter().zip(nis) {
                 state.place(*core, ni);
             }
         }
-        EffectivePlacement::Preset(assignment) => {
+        None => {}
+        Some(assignment) => {
             for (&core, &ni) in assignment {
                 if options.faults.ni_failed(ni) {
                     return Err(MapError::NiFailed { core, ni });
@@ -735,7 +745,7 @@ fn run_mapping(
     // pairs before the doomed one that it knows to succeed.
     #[cfg(test)]
     let proven = proven.filter(|_| !tests::full_pass_only());
-    if let (Some(proven), Some(_)) = (proven, active) {
+    if let Some(proven) = proven {
         if !options.faults.is_empty() {
             state.fail_fast(&tasks, &mut queue, is_active, proven)?;
         }
@@ -838,11 +848,6 @@ pub fn map_multi_usecase(
     options: &MapperOptions,
 ) -> Result<MappingSolution, MapError> {
     count(Counter::FullMaps, 1);
-    let placement = match &options.placement {
-        Placement::Unified => EffectivePlacement::Unified,
-        Placement::RoundRobin => EffectivePlacement::RoundRobin,
-        Placement::Preset(assignment) => EffectivePlacement::Preset(assignment),
-    };
     // Validate before merging: `merged_group_flows` panics on a
     // mismatched partition, while this entry point reports it.
     if groups.use_case_count() != soc.use_case_count() {
@@ -852,9 +857,8 @@ pub fn map_multi_usecase(
         });
     }
     let merged = merged_group_flows(soc, groups);
-    let (core_to_ni, configs) = run_mapping(
-        soc, groups, topo, spec, options, placement, None, &merged, None,
-    )?;
+    let (core_to_ni, configs) =
+        run_mapping(soc, groups, topo, spec, options, &merged, MapMode::Full)?;
     Ok(MappingSolution::new(
         topo.clone(),
         format!("{}sw", topo.switch_count()),
@@ -870,7 +874,10 @@ pub fn map_multi_usecase(
 /// Delta re-route for placement moves: re-routes only the groups marked
 /// in `affected` under `placement` (which must place **every** core, as
 /// annealing moves do), splicing the configs of untouched groups
-/// verbatim from `base`.
+/// verbatim from `base`. An affected group whose placement signature
+/// `cache` holds is spliced from the cache (`route_cache_hits`) instead
+/// of being re-routed; a re-routed group is cached under its signature
+/// (`route_cache_misses`).
 ///
 /// Byte-identical to a full [`map_multi_usecase`] with
 /// [`Placement::Preset`] because, with placement fixed up front, each
@@ -881,13 +888,21 @@ pub fn map_multi_usecase(
 /// annealer leans on this to evaluate a two-core swap by re-routing only
 /// the groups whose traffic touches either core — `base` **must** carry
 /// per-group configs equal to a full preset re-route of its own
-/// placement, which holds for any solution this function or
-/// [`map_multi_usecase`] produced.
+/// placement ([`preset_twin`]), which holds for any solution this
+/// function or a preset [`map_multi_usecase`] produced.
 ///
 /// `options.placement` is ignored; the borrowed `placement` wins.
 /// `merged` must be `merged_group_flows(soc, groups)`, precomputed by
 /// the caller — the annealer hoists it out of its walk so a proposed
-/// move does not re-merge every flow of every group.
+/// move does not re-merge every flow of every group. `cache` must have
+/// been built for the same `merged`, topology, TDMA spec and options;
+/// callers keep one across calls, so a move that revisits a placement
+/// splices what an earlier call routed.
+///
+/// Under faults, a call one of whose pairs has an NI that cannot send or
+/// cannot receive over any surviving link fails with the error the full
+/// pass returns, routing only the earlier pairs it cannot show to
+/// succeed.
 ///
 /// # Errors
 ///
@@ -895,7 +910,8 @@ pub fn map_multi_usecase(
 ///
 /// # Panics
 ///
-/// When `affected.len() != groups.group_count()`.
+/// When `affected.len() != groups.group_count()`, or when `cache` was
+/// built for a different group count.
 #[allow(clippy::too_many_arguments)]
 pub fn reroute_preset_groups(
     soc: &SocSpec,
@@ -905,45 +921,54 @@ pub fn reroute_preset_groups(
     placement: &BTreeMap<CoreId, NodeId>,
     affected: &[bool],
     merged: &[BTreeMap<(CoreId, CoreId), MergedFlow>],
-) -> Result<MappingSolution, MapError> {
-    reroute_filtered(
-        soc, groups, base, options, placement, affected, merged, None,
-    )
-}
-
-/// [`reroute_preset_groups`], handing `proven` to the mapping run.
-#[allow(clippy::too_many_arguments)]
-fn reroute_filtered(
-    soc: &SocSpec,
-    groups: &UseCaseGroups,
-    base: &MappingSolution,
-    options: &MapperOptions,
-    placement: &BTreeMap<CoreId, NodeId>,
-    affected: &[bool],
-    merged: &[BTreeMap<(CoreId, CoreId), MergedFlow>],
-    proven: Option<&mut ProvenRoutes>,
+    cache: &mut RouteCache,
 ) -> Result<MappingSolution, MapError> {
     assert_eq!(
         affected.len(),
         groups.group_count(),
         "one affected flag per group"
     );
-    let topo = base.topology();
-    let spec = base.spec();
-    let rerouted = affected.iter().filter(|&&a| a).count() as u64;
+    assert_eq!(
+        cache.groups.len(),
+        groups.group_count(),
+        "cache built for this partition"
+    );
+    // Split the affected set into cache hits (spliced below) and the
+    // groups to route, whose configs are cached after the run.
+    let mut to_route = vec![false; affected.len()];
+    let mut hits: Vec<(usize, Vec<NodeId>)> = Vec::new();
+    let mut misses: Vec<(usize, Vec<NodeId>)> = Vec::new();
+    for (g, _) in affected.iter().enumerate().filter(|&(_, &a)| a) {
+        match cache.groups[g].signature(placement) {
+            Some(sig) if cache.groups[g].configs.contains_key(&sig) => hits.push((g, sig)),
+            Some(sig) => {
+                to_route[g] = true;
+                misses.push((g, sig));
+            }
+            // A group with an unplaced core is routed, never cached.
+            None => to_route[g] = true,
+        }
+    }
+    let rerouted = to_route.iter().filter(|&&r| r).count() as u64;
+    count(Counter::RouteCacheHits, hits.len() as u64);
+    count(Counter::RouteCacheMisses, misses.len() as u64);
     count(Counter::GroupsRerouted, rerouted);
     count(Counter::GroupsReused, affected.len() as u64 - rerouted);
-    let (core_to_ni, configs) = run_mapping(
-        soc,
-        groups,
-        topo,
-        spec,
-        options,
-        EffectivePlacement::Preset(placement),
-        Some(affected),
-        merged,
-        proven,
-    )?;
+    let topo = base.topology();
+    let spec = base.spec();
+    let mode = MapMode::Delta {
+        placement,
+        active: &to_route,
+        proven: &mut cache.proven,
+    };
+    let (core_to_ni, mut configs) = run_mapping(soc, groups, topo, spec, options, merged, mode)?;
+    for (g, sig) in misses {
+        let config = configs[g].clone().expect("routed groups have configs");
+        cache.groups[g].configs.insert(sig, config);
+    }
+    for (g, sig) in hits {
+        configs[g] = Some(cache.groups[g].configs[&sig].clone());
+    }
     Ok(MappingSolution::new(
         topo.clone(),
         format!("{}sw", topo.switch_count()),
@@ -957,9 +982,35 @@ fn reroute_filtered(
     ))
 }
 
+/// The preset-pure twin of `solution`: the same placement fully
+/// re-routed with [`Placement::Preset`] on the same topology and TDMA
+/// spec. Only such a solution may be the splice base of
+/// [`reroute_preset_groups`] or seed a [`RouteCache`]; a unified map's
+/// configs come from its placement pass and may differ.
+///
+/// # Errors
+///
+/// As [`map_multi_usecase`].
+pub fn preset_twin(
+    soc: &SocSpec,
+    groups: &UseCaseGroups,
+    options: &MapperOptions,
+    solution: &MappingSolution,
+) -> Result<MappingSolution, MapError> {
+    map_multi_usecase(
+        soc,
+        groups,
+        solution.topology(),
+        solution.spec(),
+        &MapperOptions {
+            placement: Placement::Preset(solution.core_mapping().clone()),
+            ..options.clone()
+        },
+    )
+}
+
 /// Memoizes per-group configurations by **placement signature** — the
-/// route cache behind cached delta re-routes
-/// ([`reroute_preset_groups_cached`]).
+/// route cache every [`reroute_preset_groups`] call reads and fills.
 ///
 /// Soundness rests on the invariant documented on
 /// [`reroute_preset_groups`]: with placement fixed up front, each group's
@@ -982,8 +1033,7 @@ fn reroute_filtered(
 ///
 /// Under faults the cache also keeps the route sequences it has seen
 /// succeed as a group's first routes, so that a re-route doomed by a
-/// cut-off NI fails without routing them again (see
-/// [`reroute_preset_groups_cached`]).
+/// cut-off NI fails without routing them again.
 #[derive(Debug, Clone)]
 pub struct RouteCache {
     groups: Vec<CachedGroup>,
@@ -1055,23 +1105,13 @@ impl RouteCache {
 
     /// Seeds the cache with `solution`'s per-group configs under its own
     /// placement (the solution must be preset-pure, i.e. produced by a
-    /// full preset re-route — see [`reroute_preset_groups`]).
+    /// full preset re-route — see [`preset_twin`]).
     pub fn seed(&mut self, solution: &MappingSolution) {
         for (row, config) in self.groups.iter_mut().zip(solution.group_configs()) {
             if let Some(sig) = row.signature(solution.core_mapping()) {
                 row.configs.entry(sig).or_insert_with(|| config.clone());
             }
         }
-    }
-
-    /// Total cached configs across all groups.
-    pub fn len(&self) -> usize {
-        self.groups.iter().map(|row| row.configs.len()).sum()
-    }
-
-    /// Whether nothing is cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// The per-group rows, in group order.
@@ -1094,100 +1134,6 @@ impl RouteCache {
         }
         self.proven.clear();
     }
-}
-
-/// [`reroute_preset_groups`] with a [`RouteCache`]: affected groups whose
-/// placement signature is cached are spliced from the cache
-/// (`route_cache_hits`) instead of being re-routed; re-routed groups are
-/// inserted (`route_cache_misses`). Byte-identical to the uncached call
-/// because cached configs are pure functions of the signature — pinned by
-/// `tests/perf_counters.rs` and the strategy differential tests.
-///
-/// Under faults, a call one of whose pairs has an NI that cannot send or
-/// cannot receive over any surviving link fails with the error the full
-/// pass returns, routing only the earlier pairs it cannot show to
-/// succeed.
-///
-/// # Errors
-///
-/// As [`reroute_preset_groups`].
-///
-/// # Panics
-///
-/// When `affected.len() != groups.group_count()`, or when `cache` was
-/// built for a different group count.
-#[allow(clippy::too_many_arguments)]
-pub fn reroute_preset_groups_cached(
-    soc: &SocSpec,
-    groups: &UseCaseGroups,
-    base: &MappingSolution,
-    options: &MapperOptions,
-    placement: &BTreeMap<CoreId, NodeId>,
-    affected: &[bool],
-    merged: &[BTreeMap<(CoreId, CoreId), MergedFlow>],
-    cache: &mut RouteCache,
-) -> Result<MappingSolution, MapError> {
-    assert_eq!(
-        affected.len(),
-        groups.group_count(),
-        "one affected flag per group"
-    );
-    assert_eq!(
-        cache.groups.len(),
-        groups.group_count(),
-        "cache built for this partition"
-    );
-    // Split the affected set into cache hits (spliced below) and misses
-    // (re-routed through the plain delta path).
-    let mut to_route = vec![false; affected.len()];
-    let mut hits: Vec<(usize, Vec<NodeId>)> = Vec::new();
-    let mut misses: Vec<(usize, Vec<NodeId>)> = Vec::new();
-    for (g, &a) in affected.iter().enumerate() {
-        if !a {
-            continue;
-        }
-        match cache.groups[g].signature(placement) {
-            Some(sig) if cache.groups[g].configs.contains_key(&sig) => hits.push((g, sig)),
-            Some(sig) => {
-                to_route[g] = true;
-                misses.push((g, sig));
-            }
-            // Unplaced cores never occur on the preset paths that use the
-            // cache; route them uncached to keep behavior identical.
-            None => to_route[g] = true,
-        }
-    }
-    count(Counter::RouteCacheHits, hits.len() as u64);
-    count(Counter::RouteCacheMisses, misses.len() as u64);
-    let sol = reroute_filtered(
-        soc,
-        groups,
-        base,
-        options,
-        placement,
-        &to_route,
-        merged,
-        Some(&mut cache.proven),
-    )?;
-    for (g, sig) in misses {
-        cache.groups[g]
-            .configs
-            .insert(sig, sol.group_configs()[g].clone());
-    }
-    if hits.is_empty() {
-        return Ok(sol);
-    }
-    let mut configs = sol.group_configs().to_vec();
-    for (g, sig) in hits {
-        configs[g] = cache.groups[g].configs[&sig].clone();
-    }
-    Ok(MappingSolution::new(
-        sol.topology().clone(),
-        sol.label(),
-        sol.spec(),
-        sol.core_mapping().clone(),
-        configs,
-    ))
 }
 
 #[cfg(test)]
@@ -1681,13 +1627,19 @@ mod tests {
     /// A filtered re-route builds tasks only for the pairs its active
     /// groups route, and checks capacity and allocates slot state for
     /// those groups alone; its configs must still equal a full preset
-    /// re-route's, and its picks the quadratic scan's.
+    /// re-route's, and its picks the quadratic scan's. Several moves per
+    /// instance share one cache, so that moves undoing earlier ones
+    /// splice cached configs, which must equal a full re-route's too.
     #[test]
     fn filtered_reroute_matches_the_full_preset_reroute() {
         let m = mesh(3, 3, 1);
         let spec = TdmaSpec::paper_default();
         let options = MapperOptions::default();
-        let mut compared = 0;
+        let preset = |placement: &BTreeMap<CoreId, NodeId>| MapperOptions {
+            placement: Placement::Preset(placement.clone()),
+            ..options.clone()
+        };
+        let (mut compared, before) = (0, crate::perf::snapshot());
         for seed in 0..24 {
             let mut rng = SmallRng::seed_from_u64(seed);
             let use_cases = rng.gen_range(2..=7usize);
@@ -1696,50 +1648,66 @@ mod tests {
             let Ok(greedy) = map_multi_usecase(&soc, &groups, m.topology(), spec, &options) else {
                 continue;
             };
-            let preset = |placement: &BTreeMap<CoreId, NodeId>| MapperOptions {
-                placement: Placement::Preset(placement.clone()),
-                ..options.clone()
-            };
-            let base = map_multi_usecase(
-                &soc,
-                &groups,
-                m.topology(),
-                spec,
-                &preset(greedy.core_mapping()),
-            )
-            .expect("a greedy placement re-routes");
+            let mut current = preset_twin(&soc, &groups, &options, &greedy)
+                .expect("a greedy placement re-routes");
             let merged = merged_group_flows(&soc, &groups);
-            // Move one core to a random NI, swapping with its occupant.
-            let mut placement = base.core_mapping().clone();
-            let cores: Vec<CoreId> = placement.keys().copied().collect();
-            let a = cores[rng.gen_range(0..cores.len())];
-            let target = m.topology().nis()[rng.gen_range(0..m.topology().ni_count())];
-            let from = placement[&a];
-            if let Some(b) = placement
-                .iter()
-                .find(|&(_, &ni)| ni == target)
-                .map(|(&b, _)| b)
-            {
-                placement.insert(b, from);
+            let mut cache = RouteCache::new(&merged);
+            // Seeded as the searches seed it, or empty as `nocd` starts.
+            if seed % 2 == 0 {
+                cache.seed(&current);
             }
-            placement.insert(a, target);
-            let moved = |core: CoreId| placement[&core] != base.core_mapping()[&core];
-            let affected: Vec<bool> = merged
-                .iter()
-                .map(|flows| rng.gen_bool(0.3) || flows.keys().any(|&(s, d)| moved(s) || moved(d)))
-                .collect();
-            let before = checked_picks();
-            let delta = reroute_preset_groups(
-                &soc, &groups, &base, &options, &placement, &affected, &merged,
-            );
-            assert!(checked_picks() > before, "seed {seed}: no pick was checked");
-            let full = map_multi_usecase(&soc, &groups, m.topology(), spec, &preset(&placement));
-            if let (Ok(delta), Ok(full)) = (delta, full) {
-                assert_eq!(delta, full, "seed {seed}: delta re-route diverged");
-                compared += 1;
+            let mut undo = None;
+            for step in 0..6 {
+                // Move one core to a random NI, swapping with its
+                // occupant; every other step undoes the last move.
+                let mut placement = current.core_mapping().clone();
+                let cores: Vec<CoreId> = placement.keys().copied().collect();
+                let nis = m.topology().nis();
+                let (a, target) = undo.take().unwrap_or_else(|| {
+                    (
+                        cores[rng.gen_range(0..cores.len())],
+                        nis[rng.gen_range(0..nis.len())],
+                    )
+                });
+                let from = placement[&a];
+                if let Some(b) = placement
+                    .iter()
+                    .find(|&(_, &ni)| ni == target)
+                    .map(|(&b, _)| b)
+                {
+                    placement.insert(b, from);
+                }
+                placement.insert(a, target);
+                let moved = |core: CoreId| placement[&core] != current.core_mapping()[&core];
+                let affected: Vec<bool> = merged
+                    .iter()
+                    .map(|flows| {
+                        rng.gen_bool(0.3) || flows.keys().any(|&(s, d)| moved(s) || moved(d))
+                    })
+                    .collect();
+                let picks = checked_picks();
+                let delta = reroute_preset_groups(
+                    &soc, &groups, &current, &options, &placement, &affected, &merged, &mut cache,
+                );
+                assert!(checked_picks() > picks, "seed {seed}: no pick was checked");
+                let full =
+                    map_multi_usecase(&soc, &groups, m.topology(), spec, &preset(&placement));
+                assert_eq!(
+                    delta, full,
+                    "seed {seed} step {step}: delta re-route diverged"
+                );
+                if let Ok(delta) = delta {
+                    if step % 2 == 0 {
+                        undo = Some((a, from));
+                    }
+                    current = delta;
+                    compared += 1;
+                }
             }
         }
-        assert!(compared >= 12, "only {compared} instances compared");
+        assert!(compared >= 96, "only {compared} moves compared");
+        let hits = crate::perf::snapshot().since(&before).route_cache_hits;
+        assert!(hits > 0, "no move spliced a cached config");
     }
 
     /// Under faults, a cached re-route that `MapState::fail_fast` fails
@@ -1822,7 +1790,7 @@ mod tests {
                     .map(|_| rng.gen_bool(0.7))
                     .collect();
                 let reroute = |cache: &mut RouteCache| {
-                    reroute_preset_groups_cached(
+                    reroute_preset_groups(
                         &soc, &groups, &base, &options, &moved, &affected, &merged, cache,
                     )
                 };

@@ -2,9 +2,9 @@
 //! and bounded branch-and-bound behind one selector.
 //!
 //! The paper's flow is greedy-plus-refinement only; production use wants
-//! to trade solution quality against mapping latency per spec (ROADMAP
-//! item 2, modeled on the PDCCH allocator's greedy /
-//! shuffle-with-displacement / exhaustive-search comparison). Every
+//! to trade solution quality against mapping latency per spec (the
+//! classic resource-allocator ladder, modeled on the PDCCH allocator's
+//! greedy / shuffle-with-displacement / exhaustive-search comparison). Every
 //! strategy here starts from the same greedy design
 //! ([`design_smallest_fabric`]) so the fabric size is identical across
 //! the portfolio and quality differences show up purely as communication
@@ -26,7 +26,7 @@
 //!   greedy's.
 //!
 //! All three share the [`RouteCache`]: candidate placements are routed
-//! through [`reroute_preset_groups_cached`], so a group whose placement
+//! through [`reroute_preset_groups`], so a group whose placement
 //! signature was already routed is spliced from the cache
 //! (`route_cache_hits` in [`crate::perf`]) instead of re-routed.
 //! Everything is a pure function of its inputs — no RNG, no wall clock —
@@ -48,9 +48,7 @@ use noc_usecase::UseCaseGroups;
 
 use crate::design::{design_smallest_fabric, FabricKind};
 use crate::error::MapError;
-use crate::mapper::{
-    map_multi_usecase, reroute_preset_groups_cached, MapperOptions, Placement, RouteCache,
-};
+use crate::mapper::{preset_twin, reroute_preset_groups, MapperOptions, RouteCache};
 use crate::merge::{merged_group_flows, MergedFlow};
 use crate::remap::RemapConfig;
 use crate::result::MappingSolution;
@@ -169,28 +167,6 @@ pub fn design_with_strategy(
     }
 }
 
-/// The preset-pure twin of `solution`: the same placement fully
-/// re-routed with [`Placement::Preset`], which is the only valid splice
-/// base for delta re-routes (see
-/// [`crate::mapper::reroute_preset_groups`]).
-fn preset_twin(
-    soc: &SocSpec,
-    groups: &UseCaseGroups,
-    options: &MapperOptions,
-    solution: &MappingSolution,
-) -> Result<MappingSolution, MapError> {
-    map_multi_usecase(
-        soc,
-        groups,
-        solution.topology(),
-        solution.spec(),
-        &MapperOptions {
-            placement: Placement::Preset(solution.core_mapping().clone()),
-            ..options.clone()
-        },
-    )
-}
-
 /// Total merged demand per core (bytes/s summed over every group pair it
 /// appears in) — the deterministic priority both refinement strategies
 /// order cores by.
@@ -258,7 +234,7 @@ fn displacement_search(
                         affected[g] = true;
                     }
                 }
-                let candidate = reroute_preset_groups_cached(
+                let candidate = reroute_preset_groups(
                     soc, groups, &current, options, &mapping, &affected, &merged, &mut cache,
                 );
                 match candidate {
@@ -370,7 +346,7 @@ impl Bnb<'_> {
 
     fn dfs(&mut self, depth: usize) {
         if depth == self.cores.len() {
-            let candidate = reroute_preset_groups_cached(
+            let candidate = reroute_preset_groups(
                 self.soc,
                 self.groups,
                 self.base,

@@ -40,7 +40,8 @@ pub enum Counter {
     /// Groups actually re-routed by a delta re-route
     /// (`nocmap::mapper::reroute_preset_groups`).
     GroupsRerouted,
-    /// Groups a delta re-route reused verbatim from the base solution.
+    /// Groups a delta re-route did not route: spliced verbatim from the
+    /// base solution or from its route cache.
     GroupsReused,
     /// Annealing moves proposed (self-moves excluded).
     AnnealMoves,

@@ -1033,8 +1033,10 @@ mod tests {
         }
 
         /// Requires the persistent per-use-case state to equal a rebuild
-        /// from the admitted use-cases and the engine's placement.
-        fn assert_rebuilds(&self, model: &Model, context: &str) {
+        /// from the admitted use-cases and the engine's placement, and
+        /// the running solution to be valid. Returns whether a serviced
+        /// use-case was verified.
+        fn assert_rebuilds(&self, model: &Model, context: &str) -> bool {
             let mut soc = SocSpec::new("nocd");
             for (id, flows) in &model.admitted {
                 soc.add_use_case(build_use_case(id, flows).expect("admitted flows are valid"));
@@ -1101,6 +1103,46 @@ mod tests {
                 nis.iter().all(|&ni| !self.options.faults.ni_failed(ni)),
                 "{context}: failed NI"
             );
+
+            // No route crosses a failed link or a link of a failed NI.
+            let banned = self.options.faults.banned_links(sol.topology());
+            for (g, config) in sol.group_configs().iter().enumerate() {
+                let id = soc.use_cases()[g].name();
+                assert!(
+                    config
+                        .iter()
+                        .all(|(_, r)| !r.path.iter().any(|l| banned.contains(l))),
+                    "{context}: {id} routes over a failed resource"
+                );
+            }
+
+            // The serviced use-cases with their configs are a valid
+            // mapping (`verify` reads only their own cores' seats).
+            let serviced: Vec<usize> = (0..n)
+                .filter(|&g| !self.parked.contains(soc.use_cases()[g].name()))
+                .collect();
+            if serviced.is_empty() {
+                return false;
+            }
+            let mut live = SocSpec::new("serviced");
+            for &g in &serviced {
+                live.add_use_case(soc.use_cases()[g].clone());
+            }
+            let restricted = MappingSolution::new(
+                sol.topology().clone(),
+                sol.label(),
+                sol.spec(),
+                placement.clone(),
+                serviced
+                    .iter()
+                    .map(|&g| sol.group_configs()[g].clone())
+                    .collect(),
+            );
+            let groups = UseCaseGroups::singletons(serviced.len());
+            if let Err(e) = restricted.verify(&live, &groups) {
+                panic!("{context}: the serviced use-cases' mapping is invalid: {e}");
+            }
+            true
         }
     }
 
@@ -1144,7 +1186,7 @@ mod tests {
     /// in place must equal a rebuild from what its responses admitted.
     #[test]
     fn persistent_state_matches_a_rebuild_after_every_line() {
-        let mut totals = Model::default();
+        let (mut totals, mut verified) = (Model::default(), 0);
         for seed in 0..16 {
             let mut rng = SmallRng::seed_from_u64(seed);
             let cfg = EngineConfig {
@@ -1164,7 +1206,7 @@ mod tests {
                 let response = engine.submit_line(&line);
                 model.observe(&line, &response);
                 let context = format!("seed {seed} line {step} `{line}`");
-                engine.assert_rebuilds(&model, &context);
+                verified += engine.assert_rebuilds(&model, &context) as u64;
                 // Cached configs are only ever added, except for a
                 // modified or removed id and on a fabric change.
                 let now = engine.cached_signatures();
@@ -1187,5 +1229,28 @@ mod tests {
         assert!(totals.rollbacks > 0, "no refused modify was rolled back");
         assert!(totals.parkings > 0, "no use-case was parked");
         assert!(totals.revivals > 0, "no parked use-case was revived");
+        assert!(verified > 0, "no serviced solution was verified");
+    }
+
+    /// A bandwidth or latency the unit constructors would overflow is
+    /// refused at the edge: a parse error, nothing queued, one error
+    /// counted.
+    #[test]
+    fn out_of_range_flows_are_refused_as_parse_errors() {
+        let mut engine = Engine::new(EngineConfig::default()).expect("valid mesh");
+        for (i, line) in [
+            "add u0 flow 0 1 18446744073710",
+            "add u0 flow 0 1 100 18446744073709552",
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let response = engine.submit_line(line);
+            assert!(response.starts_with("err parse: "), "{line}: {response}");
+            assert!(engine.pending.is_empty(), "{line} was queued");
+            assert_eq!(engine.stats().errors, i as u64 + 1, "{line}");
+        }
+        assert_eq!(engine.stats().adds, 0);
+        assert_eq!(engine.submit_line("flush"), "ok applied n=0\n.\n");
     }
 }

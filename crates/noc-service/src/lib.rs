@@ -1,5 +1,5 @@
 //! `nocd` — the online mapping service: streaming use-case admission
-//! with incremental remapping (ROADMAP item 1).
+//! with incremental remapping.
 //!
 //! The batch flow maps a fixed set of use-cases offline; this crate
 //! turns the same machinery into a long-running daemon. Use-cases

@@ -22,12 +22,14 @@
 //!
 //! `src` / `dst` are core indices from the shared core pool, `mbps` the
 //! flow bandwidth in MB/s, `lat_us` an optional worst-case latency
-//! bound in µs (unconstrained when absent). `add`/`modify`/`remove`/
-//! `fault` are queued and applied together at the next reconfiguration
-//! point (batch full, explicit `flush`, or any of `stats` / `snapshot` /
-//! `heal` / `health` / `shutdown`) — see [`crate::engine`]. `fault`
-//! indices are positions into the fabric's link list (`fault link`) or
-//! NI list (`fault ni`).
+//! bound in µs (unconstrained when absent). A bandwidth whose bytes/s,
+//! or a latency whose nanoseconds, would not fit a `u64` (below the
+//! unconstrained sentinel, for a latency) is a grammar violation.
+//! `add`/`modify`/`remove`/`fault` are queued and applied together at
+//! the next reconfiguration point (batch full, explicit `flush`, or any
+//! of `stats` / `snapshot` / `heal` / `health` / `shutdown`) — see
+//! [`crate::engine`]. `fault` indices are positions into the fabric's
+//! link list (`fault link`) or NI list (`fault ni`).
 //!
 //! # Hardened edge
 //!
@@ -43,6 +45,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::str::FromStr;
 
 /// Hard cap on one request line, in bytes (before parsing).
 pub const MAX_LINE_BYTES: usize = 4096;
@@ -97,6 +100,21 @@ impl Error for ProtocolError {}
 
 fn syntax(msg: impl Into<String>) -> ProtocolError {
     ProtocolError::Syntax(msg.into())
+}
+
+/// The largest `MBPS` whose bytes/s fit a `u64` (`Bandwidth::from_mbps`).
+const MAX_MBPS: u64 = u64::MAX / 1_000_000;
+
+/// The largest `LAT_US` whose nanoseconds fit a `u64` below the
+/// `Latency::UNCONSTRAINED` sentinel (`Latency::from_us`).
+const MAX_LAT_US: u64 = (u64::MAX - 1) / 1_000;
+
+/// Parses the `name` token `tok` as a number no larger than `max`.
+fn number<T: FromStr + PartialOrd>(name: &str, tok: &str, max: T) -> Result<T, ProtocolError> {
+    tok.parse::<T>()
+        .ok()
+        .filter(|n| *n <= max)
+        .ok_or_else(|| syntax(format!("bad {name} '{tok}'")))
 }
 
 /// One requested flow of a use-case (`flow <src> <dst> <mbps>
@@ -203,21 +221,15 @@ fn parse_flows(tokens: &[&str]) -> Result<Vec<FlowSpec>, ProtocolError> {
     for chunk in tokens.split(|&t| t == ";") {
         match chunk {
             ["flow", src, dst, mbps, rest @ ..] => {
-                let num = |name: &str, tok: &str| {
-                    tok.parse::<u64>()
-                        .map_err(|_| syntax(format!("bad {name} '{tok}'")))
-                };
                 let lat_us = match rest {
                     [] => None,
-                    [lat] => Some(num("latency", lat)?),
+                    [lat] => Some(number("latency", lat, MAX_LAT_US)?),
                     more => return Err(syntax(format!("trailing tokens {more:?}"))),
                 };
                 flows.push(FlowSpec {
-                    src: u32::try_from(num("source core", src)?)
-                        .map_err(|_| syntax(format!("bad source core '{src}'")))?,
-                    dst: u32::try_from(num("destination core", dst)?)
-                        .map_err(|_| syntax(format!("bad destination core '{dst}'")))?,
-                    mbps: num("bandwidth", mbps)?,
+                    src: number("source core", src, u32::MAX)?,
+                    dst: number("destination core", dst, u32::MAX)?,
+                    mbps: number("bandwidth", mbps, MAX_MBPS)?,
                     lat_us,
                 });
             }
@@ -384,6 +396,52 @@ mod tests {
         assert!(parse_command("fault link x").is_err());
         assert!(parse_command("heal now").is_err());
         assert!(parse_command("health check").is_err());
+        assert!(parse_command("add u0 flow 4294967296 1 100").is_err());
+    }
+
+    /// A bandwidth or latency the unit constructors would overflow is a
+    /// parse error, like a non-numeric one; the largest in range parse.
+    #[test]
+    fn rejects_out_of_range_bandwidth_and_latency() {
+        let flow = |line: &str| match parse_command(line) {
+            Ok(Some(Command::Add { flows, .. })) => Ok(flows[0].clone()),
+            other => Err(other.unwrap_err()),
+        };
+        assert_eq!(
+            flow(&format!("add u0 flow 0 1 {MAX_MBPS}")).unwrap().mbps,
+            MAX_MBPS
+        );
+        assert_eq!(
+            flow(&format!("add u0 flow 0 1 1 {MAX_LAT_US}"))
+                .unwrap()
+                .lat_us,
+            Some(MAX_LAT_US)
+        );
+        for (line, token) in [
+            (
+                "add u0 flow 0 1 18446744073710",
+                "bandwidth '18446744073710'",
+            ),
+            (
+                "add u0 flow 0 1 100 18446744073709552",
+                "latency '18446744073709552'",
+            ),
+            (
+                "modify u0 flow 0 1 18446744073709551615",
+                "bandwidth '18446744073709551615'",
+            ),
+        ] {
+            let err = flow(line).unwrap_err();
+            assert_eq!(err.kind(), "parse", "{line}");
+            assert_eq!(err.to_string(), format!("bad {token}"), "{line}");
+        }
+        // The bounds are exact: one more overflows the unit constructor.
+        assert!(MAX_MBPS.checked_mul(1_000_000).is_some());
+        assert!((MAX_MBPS + 1).checked_mul(1_000_000).is_none());
+        assert!(MAX_LAT_US
+            .checked_mul(1_000)
+            .is_some_and(|ns| ns < u64::MAX));
+        assert!((MAX_LAT_US + 1).checked_mul(1_000).is_none());
     }
 
     #[test]

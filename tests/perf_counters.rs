@@ -15,10 +15,9 @@
 //!   (`groups_reused > 0` on a spec with disjoint-core use-cases);
 //! * path queries run against **re-used scratch buffers** — one
 //!   allocation per group per map, not one per query;
-//! * the route cache is **pay-for-use**: plain `refine` leaves both
-//!   `route_cache_*` counters at zero, while `refine_cached` records
-//!   hits on revisited placement signatures, saves their re-routes, and
-//!   still returns the byte-identical winner;
+//! * the annealer **memoizes through its route cache**: moves that
+//!   revisit a placement signature are hits, and every group it
+//!   re-routes is a miss;
 //! * all of those counts are **identical at any thread count**;
 //! * deltas are **exact under concurrency**: two threads mapping at once
 //!   each see exactly the solo run's delta, and work that pool workers
@@ -26,13 +25,14 @@
 //! * a delta re-route allocates slot state and path scratch only for
 //!   the groups that **actually route**, not for every affected group.
 
-use noc_multiusecase::map::anneal::{refine, refine_cached, AnnealConfig};
+use noc_multiusecase::map::anneal::{refine, AnnealConfig};
 use noc_multiusecase::map::design::design_smallest_mesh;
+use noc_multiusecase::map::mapper::preset_twin;
 use noc_multiusecase::map::perf::{self, PerfSnapshot};
 use noc_multiusecase::map::strategy::displacement_eviction_budget;
 use noc_multiusecase::map::{
     admit_group, map_multi_usecase, merged_group_flows, GroupConfig, MapperOptions,
-    MappingSolution, Placement, RejectReason, RouteCache,
+    MappingSolution, RejectReason, RouteCache,
 };
 use noc_multiusecase::par::{par_map, with_threads};
 use noc_multiusecase::tdma::TdmaSpec;
@@ -129,54 +129,23 @@ fn hot_loops_are_delta_evaluated_and_allocation_free() {
         delta.groups_reused
     );
 
-    // -- Route cache: pay-for-use, byte-identical walk. ----------------
-    assert_eq!(
-        (delta.route_cache_hits, delta.route_cache_misses),
-        (0, 0),
-        "plain refine must never touch the route cache"
-    );
-    let run_cached = || {
-        let before = perf::snapshot();
-        let refined =
-            refine_cached(&soc, &groups, &opts, &initial, &cfg).expect("refine_cached succeeds");
-        (perf::snapshot().since(&before), refined)
-    };
-    let (cached, cached_sol) = run_cached();
-    assert_eq!(
-        cached_sol, refined,
-        "the cache must not change the walk's winner"
-    );
-    assert_eq!(
-        (cached.anneal_moves, cached.anneal_accepts),
-        (delta.anneal_moves, delta.anneal_accepts),
-        "the cache must not change the walk itself"
-    );
+    // -- Route cache: revisited signatures are spliced, not re-routed. --
     assert!(
-        cached.route_cache_hits > 0,
+        delta.route_cache_hits > 0,
         "a 40-iteration walk over two groups must revisit placement signatures"
     );
-    assert!(
-        cached.route_cache_misses > 0,
-        "fresh placement signatures must be routed (and recorded) as misses"
-    );
-    assert!(
-        cached.group_routes < delta.group_routes,
-        "every cache hit must save a group re-route ({} cached vs {} uncached)",
-        cached.group_routes,
-        delta.group_routes
+    assert_eq!(
+        delta.groups_rerouted, delta.route_cache_misses,
+        "every re-routed group is a cache miss, and every hit is spliced"
     );
 
     // -- Determinism: identical op counts at any thread count. ---------
     let (seq, seq_sol) = with_threads(1, run_refine);
     let (par, par_sol) = with_threads(4, run_refine);
     assert_eq!(seq_sol, par_sol, "thread count must not change the walk");
-    assert_eq!(seq, par, "op counters must be schedule-independent");
-    let (cached_seq, cached_seq_sol) = with_threads(1, run_cached);
-    let (cached_par, cached_par_sol) = with_threads(4, run_cached);
-    assert_eq!(cached_seq_sol, cached_par_sol);
     assert_eq!(
-        cached_seq, cached_par,
-        "cache hit/miss counts must be schedule-independent"
+        seq, par,
+        "op counters, cache hits and misses included, must be schedule-independent"
     );
 }
 
@@ -296,14 +265,9 @@ fn refused_admission_allocates_only_for_groups_that_route() {
     }
     let options = MapperOptions::default();
     let spec = TdmaSpec::paper_default();
-    let greedy =
-        map_multi_usecase(&soc, &UseCaseGroups::singletons(2), &topo, spec, &options).unwrap();
-    let preset = MapperOptions {
-        placement: Placement::Preset(greedy.core_mapping().clone()),
-        ..options.clone()
-    };
-    let running =
-        map_multi_usecase(&soc, &UseCaseGroups::singletons(2), &topo, spec, &preset).unwrap();
+    let live = UseCaseGroups::singletons(2);
+    let greedy = map_multi_usecase(&soc, &live, &topo, spec, &options).unwrap();
+    let running = preset_twin(&soc, &live, &options, &greedy).unwrap();
 
     // The admitted use-case's largest pair (routed first) has a latency
     // bound no path meets, so every repair attempt fails on it.

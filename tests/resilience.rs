@@ -4,8 +4,9 @@
 //! engine, every response is framed), the flush-then-read contract at
 //! several batch sizes, and the engine's fault/heal/health verbs.
 
+use noc_multiusecase::map::mapper::preset_twin;
 use noc_multiusecase::map::remap::RemapConfig;
-use noc_multiusecase::map::{heal, map_multi_usecase, HealOutcome, MapperOptions, Placement};
+use noc_multiusecase::map::{heal, map_multi_usecase, HealOutcome, MapperOptions};
 use noc_multiusecase::service::{generate_trace, AdmitMode, Engine, EngineConfig};
 use noc_multiusecase::tdma::TdmaSpec;
 use noc_multiusecase::topology::units::{Bandwidth, Latency};
@@ -38,17 +39,7 @@ fn preset_base(
 ) -> Option<noc_multiusecase::map::MappingSolution> {
     let options = MapperOptions::default();
     let greedy = map_multi_usecase(soc, groups, topo, TdmaSpec::paper_default(), &options).ok()?;
-    map_multi_usecase(
-        soc,
-        groups,
-        topo,
-        TdmaSpec::paper_default(),
-        &MapperOptions {
-            placement: Placement::Preset(greedy.core_mapping().clone()),
-            ..options
-        },
-    )
-    .ok()
+    preset_twin(soc, groups, &options, &greedy).ok()
 }
 
 /// Strategy: a small use-case over `cores` cores (distinct pairs).
