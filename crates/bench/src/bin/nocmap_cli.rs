@@ -18,7 +18,7 @@
 //! * `gen {d1|d2|d3|d4|sp|bot} [--use-cases N] [--seed S]` — write a spec
 //!   (text format of `noc_usecase::textio`) to stdout.
 //! * `design SPEC [--freq MHZ] [--slots N] [--max-switches N] [--wc]
-//!   [--anneal ITERxCHAINS] [--strategy greedy|displacement|bnb]
+//!   [--anneal ITERxCHAINS] [--strategy greedy|displacement]
 //!   [--emit FILE]` — run the design pipeline (map → \[anneal\] →
 //!   verify, plus the worst-case baseline with `--wc`), print the
 //!   analytic report, optionally emit the configuration artifact. The
@@ -41,7 +41,7 @@
 //!   deterministic at any `--threads` setting; only wall times vary.
 //! * `frontier [--json FILE] [--label L]` — the strategy-portfolio
 //!   frontier suite: map every standard benchmark with each strategy
-//!   (greedy, displacement, bounded branch-and-bound), print the
+//!   (greedy, displacement local search), print the
 //!   quality-vs-ops table, and (with `--json`) append a frontier record
 //!   to the trajectory. Every cell is deterministic — the record is
 //!   byte-identical at any `--threads` setting (see
@@ -110,7 +110,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  nocmap_cli gen {{d1|d2|d3|d4|sp|bot}} [--use-cases N] [--seed S]\n  \
          nocmap_cli design SPEC [--freq MHZ] [--slots N] [--max-switches N] [--wc] \
-         [--anneal ITERxCHAINS] [--emit FILE]\n  \
+         [--anneal ITERxCHAINS] [--strategy greedy|displacement] [--emit FILE]\n  \
          nocmap_cli flow {{run FILE|NAME [--spec SOCFILE] | list | show NAME}}\n  \
          nocmap_cli be-burst\n  \
          nocmap_cli perf [--json FILE] [--label L]\n  \
@@ -168,7 +168,7 @@ fn cmd_design(mut args: Vec<String>) -> Result<(), FlowError> {
     let strategy = match take_string(&mut args, "--strategy")? {
         Some(tok) => StrategyKind::parse(&tok).ok_or_else(|| {
             FlowError::Usage(format!(
-                "invalid --strategy '{tok}' (expected greedy|displacement|bnb)"
+                "invalid --strategy '{tok}' (expected greedy|displacement)"
             ))
         })?,
         None => StrategyKind::Greedy,

@@ -117,13 +117,12 @@ pub fn frontier_record(label: &str, threads: usize, points: &[FrontierPoint]) ->
         .map(|p| {
             format!(
                 "{{\"bench\":\"{}\",\"strategy\":\"{}\",\"switches\":{},\
-                 \"cost\":{},\"evictions\":{},\"nodes\":{},\"ops\":{}}}",
+                 \"cost\":{},\"evictions\":{},\"ops\":{}}}",
                 escape(&p.bench),
                 p.strategy.token(),
                 p.switches,
                 p.cost,
                 p.evictions,
-                p.nodes,
                 ops_json(&p.ops),
             )
         })

@@ -32,7 +32,6 @@
 //! byte-identical at any `noc-par` width (the service replay goldens
 //! pin this at 1/2/8 workers).
 
-use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -45,7 +44,10 @@ use crate::error::MapError;
 use crate::mapper::{reroute_preset_groups, MapperOptions, RouteCache};
 use crate::merge::MergedFlow;
 use crate::result::MappingSolution;
-use crate::seat::{displacement_targets, free_nis, seat};
+use crate::seat::{
+    core_weights, displacement_targets, free_nis, groups_touching, heaviest_first, occupant, seat,
+    swap,
+};
 
 /// Deterministic cap on displacement repair iterations per admission
 /// (each iteration routes one candidate placement). The eviction budget
@@ -96,37 +98,6 @@ impl fmt::Display for RejectReason {
     }
 }
 
-/// Total merged demand per core of one group (bytes/s over every pair it
-/// touches) — the deterministic weight ordering displacement uses.
-fn group_core_weights(flows: &BTreeMap<(CoreId, CoreId), MergedFlow>) -> BTreeMap<CoreId, u128> {
-    let mut weights: BTreeMap<CoreId, u128> = BTreeMap::new();
-    for (&(src, dst), flow) in flows {
-        let bw = flow.bandwidth.as_bytes_per_sec() as u128;
-        *weights.entry(src).or_default() += bw;
-        *weights.entry(dst).or_default() += bw;
-    }
-    weights
-}
-
-/// The groups (other than `group`) whose merged traffic touches any core
-/// in `relocated` — exactly the set a candidate placement must re-route.
-fn affected_groups(
-    merged: &[BTreeMap<(CoreId, CoreId), MergedFlow>],
-    group: usize,
-    relocated: &BTreeSet<CoreId>,
-) -> Vec<bool> {
-    merged
-        .iter()
-        .enumerate()
-        .map(|(g, flows)| {
-            g == group
-                || flows
-                    .keys()
-                    .any(|&(s, d)| relocated.contains(&s) || relocated.contains(&d))
-        })
-        .collect()
-}
-
 /// Admits group `group` into the running solution `base`.
 ///
 /// `base` must carry one (preset-pure) config per group of `groups`,
@@ -169,9 +140,8 @@ pub fn admit_group(
 ) -> Result<Admission, RejectReason> {
     assert!(group < groups.group_count(), "admitted group in range");
     let topo = base.topology();
-    let flows = &merged[group];
-    let weights = group_core_weights(flows);
-    let group_cores: BTreeSet<CoreId> = flows.keys().flat_map(|&(s, d)| [s, d]).collect();
+    let weights = core_weights(&merged[group..=group]);
+    let group_cores: BTreeSet<CoreId> = merged[group].keys().flat_map(|&(s, d)| [s, d]).collect();
 
     // Unplaced cores, heaviest first (deterministic tie-break on id).
     let mut new_cores: Vec<CoreId> = group_cores
@@ -179,7 +149,7 @@ pub fn admit_group(
         .copied()
         .filter(|c| !base.core_mapping().contains_key(c))
         .collect();
-    new_cores.sort_by_key(|&c| (Reverse(weights.get(&c).copied().unwrap_or(0)), c));
+    heaviest_first(&mut new_cores, &weights);
 
     // Failed NIs are never placement targets, and partner distances are
     // measured over the surviving links only (with an empty fault set
@@ -208,10 +178,12 @@ pub fn admit_group(
         );
     }
 
+    // The admitted group, and every group touching a relocated core.
     let route = |placement: &BTreeMap<CoreId, NodeId>,
                  relocated: &BTreeSet<CoreId>,
                  cache: &mut RouteCache| {
-        let affected = affected_groups(merged, group, relocated);
+        let mut affected = groups_touching(merged, |c| relocated.contains(&c));
+        affected[group] = true;
         reroute_preset_groups(
             soc, groups, base, options, placement, &affected, merged, cache,
         )
@@ -263,24 +235,14 @@ pub fn admit_group(
                     .into_iter()
                     .filter(|c| group_cores.contains(c))
                     .collect();
-                movers.sort_by_key(|&c| (Reverse(weights.get(&c).copied().unwrap_or(0)), c));
-                let Some(step) = displacement_step(
+                heaviest_first(&mut movers, &weights);
+                let Some((mover, target)) = displacement_step(
                     degraded, base, &placement, &relocated, &tried, &movers, budget,
                 ) else {
                     break;
                 };
-                let (mover, target) = step;
                 tried.insert((mover, target));
-                let vacated = placement[&mover];
-                if let Some(occupant) = placement
-                    .iter()
-                    .find(|&(_, &ni)| ni == target)
-                    .map(|(&c, _)| c)
-                {
-                    placement.insert(occupant, vacated);
-                    relocated.insert(occupant);
-                }
-                placement.insert(mover, target);
+                relocated.extend(swap(&mut placement, mover, target));
                 relocated.insert(mover);
             }
             Err(e) => {
@@ -310,7 +272,6 @@ fn displacement_step(
     movers: &[CoreId],
     budget: u64,
 ) -> Option<(CoreId, NodeId)> {
-    let ni_of_core = |ni: NodeId| placement.iter().find(|&(_, &n)| n == ni).map(|(&c, _)| c);
     // Evictions already spent: pre-existing cores whose NI has changed.
     let spent = relocated
         .iter()
@@ -328,7 +289,10 @@ fn displacement_step(
             // Cost of this step: the mover (if pre-existing and not yet
             // displaced) plus the evicted occupant (same rule).
             let mut cost = 0u64;
-            for c in [Some(mover), ni_of_core(target)].into_iter().flatten() {
+            for c in [Some(mover), occupant(placement, target)]
+                .into_iter()
+                .flatten()
+            {
                 let pre_existing = base.core_mapping().contains_key(&c);
                 let already_counted = pre_existing
                     && relocated.contains(&c)

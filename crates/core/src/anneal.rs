@@ -44,6 +44,7 @@ use crate::error::MapError;
 use crate::mapper::{preset_twin, reroute_preset_groups, MapperOptions, RouteCache};
 use crate::merge::merged_group_flows;
 use crate::result::MappingSolution;
+use crate::seat::{groups_touching, swap};
 
 /// Annealing schedule parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -118,15 +119,11 @@ pub fn refine(
     // re-place existing cores), and neither does which groups a core's
     // traffic touches.
     let cores: Vec<_> = start.core_mapping().keys().copied().collect();
-    let group_count = groups.group_count();
     let merged = merged_group_flows(soc, groups);
-    let groups_of = |core| -> Vec<usize> {
-        (0..group_count)
-            .filter(|&g| merged[g].keys().any(|&(s, d)| s == core || d == core))
-            .collect()
-    };
-    let core_groups: std::collections::BTreeMap<_, Vec<usize>> =
-        cores.iter().map(|&c| (c, groups_of(c))).collect();
+    let touched: std::collections::BTreeMap<_, Vec<bool>> = cores
+        .iter()
+        .map(|&core| (core, groups_touching(&merged, |c| c == core)))
+        .collect();
 
     let run_chain = |chain: usize| -> MappingSolution {
         let span = noc_obs::span("anneal-chain");
@@ -166,17 +163,12 @@ pub fn refine(
             }
             count(Counter::AnnealMoves, 1);
             moves += 1;
-            let b = cores.iter().copied().find(|c| mapping[c] == target_ni);
+            let b = swap(&mut mapping, a, target_ni);
+            let mut affected = touched[&a].clone();
             if let Some(b) = b {
-                mapping.insert(b, ni_a);
-            }
-            mapping.insert(a, target_ni);
-            let mut affected = vec![false; group_count];
-            for &g in core_groups[&a]
-                .iter()
-                .chain(b.iter().flat_map(|b| &core_groups[b]))
-            {
-                affected[g] = true;
+                for (affected, &t) in affected.iter_mut().zip(&touched[&b]) {
+                    *affected |= t;
+                }
             }
 
             let mut accepted = false;
@@ -201,10 +193,7 @@ pub fn refine(
             }
             if !accepted {
                 // Roll the rejected move back in place.
-                mapping.insert(a, ni_a);
-                if let Some(b) = b {
-                    mapping.insert(b, target_ni);
-                }
+                swap(&mut mapping, a, ni_a);
             }
             temperature *= config.cooling;
         }

@@ -153,34 +153,37 @@ pub fn min_frequency(
     lo: Frequency,
     hi: Frequency,
 ) -> Result<(Frequency, MappingSolution), MapError> {
+    lowest_feasible(lo, hi, |f| {
+        map_multi_usecase(soc, groups, topo, base_spec.at_frequency(f), options)
+    })
+}
+
+/// Bisects `lo..=hi` (whole MHz, at least 1) for the lowest frequency at
+/// which `attempt` succeeds, returning it with that attempt's result.
+///
+/// # Errors
+///
+/// [`MapError::NoFeasibleFrequency`] when even `hi` fails.
+pub(crate) fn lowest_feasible<T>(
+    lo: Frequency,
+    hi: Frequency,
+    mut attempt: impl FnMut(Frequency) -> Result<T, MapError>,
+) -> Result<(Frequency, T), MapError> {
     let mut lo_mhz = (lo.as_hz() / 1_000_000).max(1);
     let mut hi_mhz = (hi.as_hz() / 1_000_000).max(lo_mhz);
-    let attempt = |mhz: u64| {
-        map_multi_usecase(
-            soc,
-            groups,
-            topo,
-            base_spec.at_frequency(Frequency::from_mhz(mhz)),
-            options,
-        )
-    };
-    let mut best = match attempt(hi_mhz) {
-        Ok(sol) => sol,
-        Err(_) => return Err(MapError::NoFeasibleFrequency),
-    };
-    let mut best_mhz = hi_mhz;
+    let mut best =
+        attempt(Frequency::from_mhz(hi_mhz)).map_err(|_| MapError::NoFeasibleFrequency)?;
     while lo_mhz < hi_mhz {
         let mid = lo_mhz + (hi_mhz - lo_mhz) / 2;
-        match attempt(mid) {
-            Ok(sol) => {
-                best = sol;
-                best_mhz = mid;
+        match attempt(Frequency::from_mhz(mid)) {
+            Ok(found) => {
+                best = found;
                 hi_mhz = mid;
             }
             Err(_) => lo_mhz = mid + 1,
         }
     }
-    Ok((Frequency::from_mhz(best_mhz), best))
+    Ok((Frequency::from_mhz(hi_mhz), best))
 }
 
 /// Convenience for the area–frequency Pareto sweep (Figure 7(a)): the

@@ -14,10 +14,11 @@ use noc_topology::DvsModel;
 use noc_usecase::spec::{SocSpec, UseCaseId};
 use noc_usecase::UseCaseGroups;
 
-use crate::design::min_frequency;
+use crate::design::{lowest_feasible, min_frequency};
 use crate::error::MapError;
-use crate::mapper::{MapperOptions, Placement};
-use crate::result::MappingSolution;
+use crate::mapper::{reroute_preset_groups, MapperOptions, Placement, RouteCache};
+use crate::merge::merged_group_flows;
+use crate::result::{GroupConfig, MappingSolution};
 
 /// Per-use-case DVS/DFS outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,13 +51,18 @@ impl DvsReport {
 /// bisection on the design's **fixed mesh and core mapping** (paths and
 /// slot tables may be rebuilt — exactly the reconfiguration the paper
 /// permits during use-case switching); power is then averaged with the
-/// DVS rule.
+/// DVS rule. A probe re-routes only the use-case's own group
+/// ([`reroute_preset_groups`]) against the design's merged flows, so
+/// the group's pairs are routed in the design's order; at the design
+/// frequency that route is the one the design's preset map found, so no
+/// use-case needs more than the design frequency.
 ///
 /// # Errors
 ///
-/// Any [`MapError`] from the per-use-case re-mapping; in particular a
-/// use-case that is infeasible even at the design frequency (which would
-/// indicate a broken input solution).
+/// Any [`MapError`] from the design-frequency search, or
+/// [`MapError::NoFeasibleFrequency`] for a use-case that is infeasible
+/// even at the design frequency (which would indicate a broken input
+/// solution).
 pub fn dvs_savings(
     soc: &SocSpec,
     groups: &UseCaseGroups,
@@ -65,39 +71,59 @@ pub fn dvs_savings(
     dvs: &DvsModel,
     floor: Frequency,
 ) -> Result<DvsReport, MapError> {
-    let preset = Placement::Preset(solution.core_mapping().clone());
-    let per_uc_options = MapperOptions {
-        placement: preset,
-        ..options.clone()
-    };
-
     // The no-DVS baseline: the slowest clock at which the whole design
     // (all use-cases, same mesh and mapping) remains feasible.
+    let preset = MapperOptions {
+        placement: Placement::Preset(solution.core_mapping().clone()),
+        ..options.clone()
+    };
     let (design_frequency, _) = min_frequency(
         soc,
         groups,
         solution.topology(),
         solution.spec(),
-        &per_uc_options,
+        &preset,
         floor,
         solution.spec().frequency(),
     )?;
 
+    // A probe's spec comes from its splice base, and a route cache's key
+    // holds no frequency, so each probe gets a base at its own frequency
+    // and a fresh cache.
+    let merged = merged_group_flows(soc, groups);
+    let group_min = |group: usize| {
+        let mut active = vec![false; groups.group_count()];
+        active[group] = true;
+        lowest_feasible(floor, design_frequency, |f| {
+            let base = MappingSolution::new(
+                solution.topology().clone(),
+                solution.label(),
+                solution.spec().at_frequency(f),
+                solution.core_mapping().clone(),
+                vec![GroupConfig::new(); groups.group_count()],
+            );
+            reroute_preset_groups(
+                soc,
+                groups,
+                &base,
+                options,
+                solution.core_mapping(),
+                &active,
+                &merged,
+                &mut RouteCache::new(&merged),
+            )
+        })
+        .map(|(f, _)| f)
+    };
+    let per_group = (0..groups.group_count())
+        .map(group_min)
+        .collect::<Result<Vec<_>, _>>()?;
+
     let mut per_use_case = Vec::with_capacity(soc.use_case_count());
     let mut rel_sum = 0.0;
     for uc_id in soc.use_case_ids() {
-        let mut solo = SocSpec::new(format!("{}-{}", soc.name(), uc_id));
-        solo.add_use_case(soc.use_case(uc_id).clone());
-        let (f_min, _) = min_frequency(
-            &solo,
-            &UseCaseGroups::singletons(1),
-            solution.topology(),
-            solution.spec(),
-            &per_uc_options,
-            floor,
-            design_frequency,
-        )?;
-        rel_sum += dvs.relative_power(f_min.min(design_frequency), design_frequency);
+        let f_min = per_group[groups.group_of(uc_id)];
+        rel_sum += dvs.relative_power(f_min, design_frequency);
         per_use_case.push((uc_id, f_min));
     }
     let n = per_use_case.len().max(1);
@@ -213,6 +239,40 @@ mod tests {
         );
         assert!(report.savings_fraction() > 0.0);
         assert!(report.savings_fraction() < 1.0);
+    }
+
+    /// Use-cases that share a group share its configuration, so they
+    /// share its minimum frequency, and no minimum exceeds the design
+    /// frequency.
+    #[test]
+    fn grouped_use_cases_share_their_groups_minimum() {
+        let mut soc = skewed_soc();
+        soc.add_use_case(
+            UseCaseBuilder::new("idle")
+                .flow(c(2), c(3), bw(10), Latency::UNCONSTRAINED)
+                .unwrap()
+                .build(),
+        );
+        let mut switching = noc_usecase::SwitchingGraph::new(3);
+        switching.add_smooth_pair(UseCaseId::new(0), UseCaseId::new(1));
+        let groups = switching.group();
+        assert_eq!(groups.group_count(), 2);
+        let opts = MapperOptions::default();
+        let spec = TdmaSpec::paper_default();
+        let sol = design_smallest_mesh(&soc, &groups, spec, &opts, 100).unwrap();
+        let report = dvs_savings(
+            &soc,
+            &groups,
+            &sol,
+            &opts,
+            &DvsModel::cmos130(),
+            Frequency::from_mhz(1),
+        )
+        .unwrap();
+        let f: Vec<Frequency> = report.per_use_case.iter().map(|&(_, f)| f).collect();
+        assert_eq!(f[0], f[1], "heavy and light share a group");
+        assert!(f[2] < f[0], "idle {} should scale below {}", f[2], f[0]);
+        assert!(f.iter().all(|&f| f <= report.design_frequency));
     }
 
     #[test]

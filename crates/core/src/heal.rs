@@ -36,7 +36,7 @@ use crate::mapper::{reroute_preset_groups, MapperOptions, RouteCache};
 use crate::merge::merged_group_flows;
 use crate::remap::RemapConfig;
 use crate::result::{GroupConfig, MappingSolution};
-use crate::seat::{free_nis, seat};
+use crate::seat::{free_nis, groups_touching, seat};
 
 /// The result of a [`heal`] pass. `Healed` and `Degraded` both carry a
 /// usable solution; `Degraded` additionally names the groups whose
@@ -157,19 +157,16 @@ pub fn heal(
         .map(|(g, _)| g)
         .collect();
 
-    // Phase 2: delta re-route of the groups the faults actually touch.
-    let moved_set: BTreeSet<CoreId> = moved.iter().copied().collect();
+    // Phase 2: delta re-route of the groups the faults actually touch:
+    // those touching a moved core or crossing a failed resource.
+    let touched = groups_touching(&merged, |c| moved.contains(&c));
     let mut active: Vec<bool> = (0..merged.len())
         .map(|g| {
-            if degraded_groups.contains(&g) {
-                return false;
-            }
-            merged[g]
-                .keys()
-                .any(|&(s, d)| moved_set.contains(&s) || moved_set.contains(&d))
-                || base.group_configs()[g]
-                    .iter()
-                    .any(|(_, route)| route.path.iter().any(|l| banned.contains(l)))
+            !degraded_groups.contains(&g)
+                && (touched[g]
+                    || base.group_configs()[g]
+                        .iter()
+                        .any(|(_, route)| route.path.iter().any(|l| banned.contains(l))))
         })
         .collect();
 

@@ -1,11 +1,11 @@
-//! The mapping-strategy portfolio: greedy, displacement local search,
-//! and bounded branch-and-bound behind one selector.
+//! The mapping-strategy portfolio: greedy and displacement local search
+//! behind one selector.
 //!
 //! The paper's flow is greedy-plus-refinement only; production use wants
 //! to trade solution quality against mapping latency per spec (the
 //! classic resource-allocator ladder, modeled on the PDCCH allocator's
-//! greedy / shuffle-with-displacement / exhaustive-search comparison). Every
-//! strategy here starts from the same greedy design
+//! greedy / shuffle-with-displacement comparison). Every strategy here
+//! starts from the same greedy design
 //! ([`design_smallest_fabric`]) so the fabric size is identical across
 //! the portfolio and quality differences show up purely as communication
 //! cost ([`MappingSolution::comm_cost_bytes_hops`]):
@@ -17,41 +17,35 @@
 //!   and, when the NI is occupied, **evict and re-place the blocking
 //!   core** — under the move budget of [`RemapConfig`], counting each
 //!   eviction. Candidates are evaluated by delta re-routes whose slot
-//!   conflict probes are the `combined_occupancy` word folds of PR 6.
-//! * [`StrategyKind::BranchAndBound`] — depth-first search over core →
-//!   NI assignments that prunes on an admissible lower bound (each
-//!   merged pair costs at least `bandwidth × shortest NI distance`) and
-//!   stops after a deterministic node budget, keeping the greedy
-//!   solution as the starting incumbent — so its cost can never exceed
-//!   greedy's.
+//!   conflict probes are the `combined_occupancy` word folds. The move
+//!   itself (weight order, swap, touched groups) is the one in
+//!   `seat.rs` that admission, annealing and heal also make.
 //!
-//! All three share the [`RouteCache`]: candidate placements are routed
-//! through [`reroute_preset_groups`], so a group whose placement
+//! Candidate placements are routed through [`reroute_preset_groups`]
+//! and its [`RouteCache`], so a group whose placement
 //! signature was already routed is spliced from the cache
 //! (`route_cache_hits` in [`crate::perf`]) instead of re-routed.
 //! Everything is a pure function of its inputs — no RNG, no wall clock —
 //! so strategy outputs are byte-identical at any `noc-par` width
 //! (`tests/parallel_determinism.rs`) and the `frontier` suite's table is
 //! goldenable. The differential contract (validity via a naive per-slot
-//! shadow scan, branch-and-bound ≤ greedy, eviction budgets respected)
-//! is pinned by `tests/strategy_differential.rs`; see
+//! shadow scan, displacement ≤ greedy, eviction budgets respected) is
+//! pinned by `tests/strategy_differential.rs`; see
 //! `docs/STRATEGIES.md` for the full writeup.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use noc_tdma::TdmaSpec;
-use noc_topology::NodeId;
 use noc_usecase::spec::{CoreId, SocSpec};
 use noc_usecase::UseCaseGroups;
 
 use crate::design::{design_smallest_fabric, FabricKind};
 use crate::error::MapError;
 use crate::mapper::{preset_twin, reroute_preset_groups, MapperOptions, RouteCache};
-use crate::merge::{merged_group_flows, MergedFlow};
+use crate::merge::merged_group_flows;
 use crate::remap::RemapConfig;
 use crate::result::MappingSolution;
+use crate::seat::{core_weights, groups_touching, heaviest_first, occupant, swap};
 
 /// Which mapping strategy a flow (or the `frontier` suite) runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
@@ -63,24 +57,17 @@ pub enum StrategyKind {
     Greedy,
     /// Displacement local search on top of the greedy solution.
     Displacement,
-    /// Bounded branch-and-bound seeded with the greedy incumbent.
-    BranchAndBound,
 }
 
 impl StrategyKind {
     /// Every strategy, in portfolio (and frontier-table) order.
-    pub const ALL: [StrategyKind; 3] = [
-        StrategyKind::Greedy,
-        StrategyKind::Displacement,
-        StrategyKind::BranchAndBound,
-    ];
+    pub const ALL: [StrategyKind; 2] = [StrategyKind::Greedy, StrategyKind::Displacement];
 
     /// The spec-grammar token (`stage map <token>`).
     pub fn token(self) -> &'static str {
         match self {
             StrategyKind::Greedy => "greedy",
             StrategyKind::Displacement => "displacement",
-            StrategyKind::BranchAndBound => "bnb",
         }
     }
 
@@ -107,17 +94,9 @@ pub struct StrategyOutcome {
     /// re-placed. Always `<=` [`Self::eviction_budget`].
     pub evictions: u64,
     /// Displacement only: the move budget in force
-    /// ([`displacement_eviction_budget`]); 0 for other strategies.
+    /// ([`displacement_eviction_budget`]); 0 for greedy.
     pub eviction_budget: u64,
-    /// Branch-and-bound only: search nodes expanded. Always `<=`
-    /// [`BNB_NODE_BUDGET`].
-    pub nodes_expanded: u64,
 }
-
-/// Deterministic node budget of [`StrategyKind::BranchAndBound`]: the
-/// depth-first search stops expanding after this many core→NI assignment
-/// nodes, whatever the instance size — bounded latency by construction.
-pub const BNB_NODE_BUDGET: u64 = 3000;
 
 /// Scan cap of [`StrategyKind::Displacement`]: only the top-N cores by
 /// total merged bandwidth are considered for re-placement each round
@@ -137,9 +116,9 @@ pub fn displacement_eviction_budget() -> u64 {
 /// Designs the smallest fabric greedily, then refines the mapping with
 /// the selected strategy on that fabric. [`StrategyKind::Greedy`]
 /// returns the greedy design unchanged (same bytes, same op counts);
-/// the other strategies keep its fabric and only re-place/re-route, so
+/// displacement keeps its fabric and only re-places/re-routes, so
 /// `switch_count` is identical across the portfolio and
-/// `comm_cost_bytes_hops` is `<=` greedy's for every strategy.
+/// `comm_cost_bytes_hops` is `<=` greedy's for both strategies.
 ///
 /// # Errors
 ///
@@ -160,26 +139,9 @@ pub fn design_with_strategy(
             solution: greedy,
             evictions: 0,
             eviction_budget: 0,
-            nodes_expanded: 0,
         }),
         StrategyKind::Displacement => displacement_search(soc, groups, options, greedy),
-        StrategyKind::BranchAndBound => branch_and_bound(soc, groups, options, greedy),
     }
-}
-
-/// Total merged demand per core (bytes/s summed over every group pair it
-/// appears in) — the deterministic priority both refinement strategies
-/// order cores by.
-fn core_weights(merged: &[BTreeMap<(CoreId, CoreId), MergedFlow>]) -> BTreeMap<CoreId, u128> {
-    let mut weights: BTreeMap<CoreId, u128> = BTreeMap::new();
-    for flows in merged {
-        for (&(src, dst), flow) in flows {
-            let bw = flow.bandwidth.as_bytes_per_sec() as u128;
-            *weights.entry(src).or_default() += bw;
-            *weights.entry(dst).or_default() += bw;
-        }
-    }
-    weights
 }
 
 fn displacement_search(
@@ -189,14 +151,12 @@ fn displacement_search(
     greedy: MappingSolution,
 ) -> Result<StrategyOutcome, MapError> {
     let merged = merged_group_flows(soc, groups);
-    let group_count = groups.group_count();
     let rerouted = preset_twin(soc, groups, options, &greedy)?;
     let mut cache = RouteCache::new(&merged);
     cache.seed(&rerouted);
 
-    let weights = core_weights(&merged);
     let mut cores: Vec<CoreId> = rerouted.core_mapping().keys().copied().collect();
-    cores.sort_by_key(|&c| (Reverse(weights.get(&c).copied().unwrap_or(0)), c));
+    heaviest_first(&mut cores, &core_weights(&merged));
     cores.truncate(DISPLACEMENT_SCAN_CORES);
     let nis = rerouted.topology().nis().to_vec();
 
@@ -216,24 +176,12 @@ fn displacement_search(
                 }
                 // The blocking allocation, if the target NI is occupied:
                 // evict it onto the NI `a` vacates (one budgeted move).
-                let evicted = mapping
-                    .iter()
-                    .find(|&(_, &ni)| ni == target)
-                    .map(|(&core, _)| core);
+                let evicted = occupant(&mapping, target);
                 if evicted.is_some() && evictions >= budget {
                     continue;
                 }
-                mapping.insert(a, target);
-                if let Some(b) = evicted {
-                    mapping.insert(b, ni_a);
-                }
-                let mut affected = vec![false; group_count];
-                for (g, flows) in merged.iter().enumerate() {
-                    let touches = |core: CoreId| flows.keys().any(|&(s, d)| s == core || d == core);
-                    if touches(a) || evicted.is_some_and(touches) {
-                        affected[g] = true;
-                    }
-                }
+                swap(&mut mapping, a, target);
+                let affected = groups_touching(&merged, |c| c == a || Some(c) == evicted);
                 let candidate = reroute_preset_groups(
                     soc, groups, &current, options, &mapping, &affected, &merged, &mut cache,
                 );
@@ -249,10 +197,7 @@ fn displacement_search(
                         break;
                     }
                     _ => {
-                        mapping.insert(a, ni_a);
-                        if let Some(b) = evicted {
-                            mapping.insert(b, target);
-                        }
+                        swap(&mut mapping, a, ni_a);
                     }
                 }
             }
@@ -271,204 +216,6 @@ fn displacement_search(
         solution,
         evictions,
         eviction_budget: budget,
-        nodes_expanded: 0,
-    })
-}
-
-/// Search state of the bounded branch-and-bound.
-struct Bnb<'a> {
-    soc: &'a SocSpec,
-    groups: &'a UseCaseGroups,
-    options: &'a MapperOptions,
-    merged: &'a [BTreeMap<(CoreId, CoreId), MergedFlow>],
-    /// Preset-pure splice base for leaf evaluation (all groups affected,
-    /// so nothing is ever spliced from it — it only provides topology and
-    /// spec).
-    base: &'a MappingSolution,
-    cores: &'a [CoreId],
-    nis: &'a [NodeId],
-    /// Every `(src, dst, bytes/s)` merged pair, once per group it costs
-    /// in.
-    pairs: &'a [(CoreId, CoreId, u128)],
-    dist: &'a BTreeMap<(NodeId, NodeId), u128>,
-    min_from: &'a BTreeMap<NodeId, u128>,
-    global_min: u128,
-    all_groups: Vec<bool>,
-    cache: RouteCache,
-    assign: BTreeMap<CoreId, NodeId>,
-    used: BTreeSet<NodeId>,
-    incumbent: MappingSolution,
-    incumbent_cost: u128,
-    nodes: u64,
-}
-
-impl Bnb<'_> {
-    /// Admissible lower bound of any completion of the current partial
-    /// assignment: every merged pair costs at least `bandwidth × hops` of
-    /// the shortest NI-to-NI distance compatible with what is placed —
-    /// the worst-case-analysis floor a routed solution can never beat
-    /// (routes are link paths, so `hops >= hop_distance`).
-    fn lower_bound(&self) -> u128 {
-        self.pairs
-            .iter()
-            .map(|&(src, dst, bw)| {
-                let hops = match (self.assign.get(&src), self.assign.get(&dst)) {
-                    (Some(&a), Some(&b)) => self.dist.get(&(a, b)).copied().unwrap_or(0),
-                    (Some(&a), None) | (None, Some(&a)) => {
-                        self.min_from.get(&a).copied().unwrap_or(0)
-                    }
-                    (None, None) => self.global_min,
-                };
-                bw * hops
-            })
-            .sum()
-    }
-
-    /// Deterministic value ordering for core `c`: NIs scored by the bound
-    /// increment against already-placed partners, so the first dives are
-    /// greedy-like and tight incumbents arrive early.
-    fn score(&self, c: CoreId, target: NodeId) -> u128 {
-        self.pairs
-            .iter()
-            .filter(|&&(src, dst, _)| src == c || dst == c)
-            .map(|&(src, dst, bw)| {
-                let partner = if src == c { dst } else { src };
-                match self.assign.get(&partner) {
-                    Some(&p) => {
-                        let key = if src == c { (target, p) } else { (p, target) };
-                        bw * self.dist.get(&key).copied().unwrap_or(0)
-                    }
-                    None => bw * self.min_from.get(&target).copied().unwrap_or(0),
-                }
-            })
-            .sum()
-    }
-
-    fn dfs(&mut self, depth: usize) {
-        if depth == self.cores.len() {
-            let candidate = reroute_preset_groups(
-                self.soc,
-                self.groups,
-                self.base,
-                self.options,
-                &self.assign,
-                &self.all_groups,
-                self.merged,
-                &mut self.cache,
-            );
-            if let Ok(candidate) = candidate {
-                let cost = candidate.comm_cost_bytes_hops();
-                if cost < self.incumbent_cost {
-                    self.incumbent = candidate;
-                    self.incumbent_cost = cost;
-                }
-            }
-            return;
-        }
-        let c = self.cores[depth];
-        let mut candidates: Vec<(u128, NodeId)> = self
-            .nis
-            .iter()
-            .filter(|t| !self.used.contains(t))
-            .map(|&t| (self.score(c, t), t))
-            .collect();
-        candidates.sort_unstable();
-        for (_, target) in candidates {
-            if self.nodes >= BNB_NODE_BUDGET {
-                return;
-            }
-            self.nodes += 1;
-            self.assign.insert(c, target);
-            self.used.insert(target);
-            if self.lower_bound() < self.incumbent_cost {
-                self.dfs(depth + 1);
-            }
-            self.assign.remove(&c);
-            self.used.remove(&target);
-        }
-    }
-}
-
-fn branch_and_bound(
-    soc: &SocSpec,
-    groups: &UseCaseGroups,
-    options: &MapperOptions,
-    greedy: MappingSolution,
-) -> Result<StrategyOutcome, MapError> {
-    let merged = merged_group_flows(soc, groups);
-    let rerouted = preset_twin(soc, groups, options, &greedy)?;
-    let mut cache = RouteCache::new(&merged);
-    cache.seed(&rerouted);
-
-    let topo = rerouted.topology().clone();
-    let nis = topo.nis().to_vec();
-    let mut dist: BTreeMap<(NodeId, NodeId), u128> = BTreeMap::new();
-    let mut min_from: BTreeMap<NodeId, u128> = BTreeMap::new();
-    let mut global_min = u128::MAX;
-    for &a in &nis {
-        let mut best = u128::MAX;
-        for &b in &nis {
-            if a == b {
-                continue;
-            }
-            let d = topo.hop_distance(a, b).unwrap_or(0) as u128;
-            dist.insert((a, b), d);
-            best = best.min(d);
-            global_min = global_min.min(d);
-        }
-        min_from.insert(a, if best == u128::MAX { 0 } else { best });
-    }
-    if global_min == u128::MAX {
-        global_min = 0;
-    }
-
-    let pairs: Vec<(CoreId, CoreId, u128)> = merged
-        .iter()
-        .flat_map(|flows| {
-            flows
-                .iter()
-                .map(|(&(s, d), f)| (s, d, f.bandwidth.as_bytes_per_sec() as u128))
-        })
-        .collect();
-    let weights = core_weights(&merged);
-    let mut cores: Vec<CoreId> = rerouted.core_mapping().keys().copied().collect();
-    cores.sort_by_key(|&c| (Reverse(weights.get(&c).copied().unwrap_or(0)), c));
-
-    let (incumbent, incumbent_cost) =
-        if greedy.comm_cost_bytes_hops() <= rerouted.comm_cost_bytes_hops() {
-            let cost = greedy.comm_cost_bytes_hops();
-            (greedy, cost)
-        } else {
-            let cost = rerouted.comm_cost_bytes_hops();
-            (rerouted.clone(), cost)
-        };
-
-    let mut bnb = Bnb {
-        soc,
-        groups,
-        options,
-        merged: &merged,
-        base: &rerouted,
-        cores: &cores,
-        nis: &nis,
-        pairs: &pairs,
-        dist: &dist,
-        min_from: &min_from,
-        global_min,
-        all_groups: vec![true; groups.group_count()],
-        cache,
-        assign: BTreeMap::new(),
-        used: BTreeSet::new(),
-        incumbent,
-        incumbent_cost,
-        nodes: 0,
-    };
-    bnb.dfs(0);
-    Ok(StrategyOutcome {
-        solution: bnb.incumbent,
-        evictions: 0,
-        eviction_budget: 0,
-        nodes_expanded: bnb.nodes,
     })
 }
 
@@ -514,7 +261,8 @@ mod tests {
         }
         assert_eq!(StrategyKind::parse("annealed"), None);
         assert_eq!(StrategyKind::default(), StrategyKind::Greedy);
-        assert_eq!(StrategyKind::BranchAndBound.to_string(), "bnb");
+        assert_eq!(StrategyKind::Displacement.to_string(), "displacement");
+        assert_eq!(StrategyKind::parse("bnb"), None);
     }
 
     #[test]
@@ -536,7 +284,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(outcome.solution, plain);
-        assert_eq!((outcome.evictions, outcome.nodes_expanded), (0, 0));
+        assert_eq!((outcome.evictions, outcome.eviction_budget), (0, 0));
     }
 
     #[test]
@@ -555,21 +303,25 @@ mod tests {
             StrategyKind::Greedy,
         )
         .unwrap();
-        for kind in [StrategyKind::Displacement, StrategyKind::BranchAndBound] {
-            let outcome =
-                design_with_strategy(&soc, &groups, spec, &opts, 64, FabricKind::Mesh, kind)
-                    .unwrap();
-            assert!(
-                outcome.solution.comm_cost_bytes_hops() <= greedy.solution.comm_cost_bytes_hops(),
-                "{kind} lost to greedy"
-            );
-            assert_eq!(
-                outcome.solution.switch_count(),
-                greedy.solution.switch_count()
-            );
-            outcome.solution.verify(&soc, &groups).unwrap();
-            assert!(outcome.evictions <= outcome.eviction_budget || outcome.eviction_budget == 0);
-            assert!(outcome.nodes_expanded <= BNB_NODE_BUDGET);
-        }
+        let outcome = design_with_strategy(
+            &soc,
+            &groups,
+            spec,
+            &opts,
+            64,
+            FabricKind::Mesh,
+            StrategyKind::Displacement,
+        )
+        .unwrap();
+        assert!(
+            outcome.solution.comm_cost_bytes_hops() <= greedy.solution.comm_cost_bytes_hops(),
+            "displacement lost to greedy"
+        );
+        assert_eq!(
+            outcome.solution.switch_count(),
+            greedy.solution.switch_count()
+        );
+        outcome.solution.verify(&soc, &groups).unwrap();
+        assert!(outcome.evictions <= outcome.eviction_budget);
     }
 }

@@ -323,7 +323,7 @@ pub struct ExperimentSpec {
 #[derive(Debug, Clone, PartialEq)]
 pub enum StageConfig {
     /// Smallest-mesh mapping, optionally refined by a portfolio
-    /// strategy (`stage map [greedy|displacement|bnb]` in the text
+    /// strategy (`stage map [greedy|displacement]` in the text
     /// form; the bare `stage map` spelling is the greedy default and
     /// round-trips byte-identically).
     Map {

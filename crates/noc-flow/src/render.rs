@@ -245,13 +245,12 @@ pub fn render_frontier(title: &str, points: &[FrontierPoint]) -> String {
     let _ = writeln!(out, "\n== {title} ==");
     let _ = writeln!(
         out,
-        "{:<8} {:<13} {:>8} {:>14} {:>6} {:>7} {:>10} {:>12} {:>10} {:>10}",
+        "{:<8} {:<13} {:>8} {:>14} {:>6} {:>10} {:>12} {:>10} {:>10}",
         "bench",
         "strategy",
         "switches",
         "cost",
         "evict",
-        "nodes",
         "queries",
         "pops",
         "cache hit",
@@ -260,13 +259,12 @@ pub fn render_frontier(title: &str, points: &[FrontierPoint]) -> String {
     for p in points {
         let _ = writeln!(
             out,
-            "{:<8} {:<13} {:>8} {:>14} {:>6} {:>7} {:>10} {:>12} {:>10} {:>10}",
+            "{:<8} {:<13} {:>8} {:>14} {:>6} {:>10} {:>12} {:>10} {:>10}",
             p.bench,
             p.strategy.token(),
             p.switches,
             p.cost,
             p.evictions,
-            p.nodes,
             p.ops.path_queries,
             p.ops.dijkstra_pops,
             p.ops.route_cache_hits,

@@ -218,7 +218,7 @@ pub struct PerfPoint {
 /// One row of the strategy-portfolio frontier: one benchmark mapped by
 /// one [`StrategyKind`], with the quality of the result (switches,
 /// integer comm cost) and the deterministic effort that bought it
-/// (op-counter delta plus the strategy's own search counters).
+/// (op-counter delta plus the evictions the strategy spent).
 ///
 /// Unlike [`PerfPoint`] this row carries **no wall-clock**: every field
 /// is identical at any `noc-par` thread count, so the rendered table is
@@ -235,10 +235,8 @@ pub struct FrontierPoint {
     pub switches: usize,
     /// Bandwidth × hop integer cost of the solution.
     pub cost: u128,
-    /// Evictions the displacement search spent (0 for the others).
+    /// Evictions the displacement search spent (0 for greedy).
     pub evictions: u64,
-    /// Branch-and-bound nodes expanded (0 for the others).
-    pub nodes: u64,
     /// Op-counter delta of the run.
     pub ops: PerfSnapshot,
 }
@@ -865,7 +863,6 @@ fn run_frontier(benches: &[LabeledBench]) -> Result<Vec<FrontierPoint>, FlowErro
                 switches: outcome.solution.switch_count(),
                 cost: outcome.solution.comm_cost_bytes_hops(),
                 evictions: outcome.evictions,
-                nodes: outcome.nodes_expanded,
                 ops,
             });
         }

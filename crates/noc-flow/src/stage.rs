@@ -135,8 +135,8 @@ pub trait Stage {
 pub struct MapStage {
     /// Fabric family to grow (mesh by default).
     pub fabric: FabricKind,
-    /// Mapping strategy (greedy by default; `displacement` and `bnb`
-    /// refine the greedy design on its own fabric).
+    /// Mapping strategy (greedy by default; `displacement` refines the
+    /// greedy design on its own fabric).
     pub strategy: StrategyKind,
 }
 

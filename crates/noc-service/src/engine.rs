@@ -66,7 +66,7 @@ use nocmap::{
     MapperOptions, MappingSolution, RouteCache,
 };
 
-use crate::protocol::{parse_command, Command, FaultTarget, FlowSpec, TERMINATOR};
+use crate::protocol::{parse_command, Command, FaultTarget, FlowSpec, ProtocolError, TERMINATOR};
 
 /// How applied mutations reach a new mapping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -302,12 +302,17 @@ impl Engine {
         match parse_command(line) {
             Ok(None) => format!("ok\n{TERMINATOR}\n"),
             Ok(Some(cmd)) => self.submit(cmd),
-            Err(e) => {
-                self.stats.requests += 1;
-                self.stats.errors += 1;
-                format!("err {}: {e}\n{TERMINATOR}\n", e.kind())
-            }
+            Err(e) => self.refuse(&e),
         }
+    }
+
+    /// Answers a request refused with `e` — by [`Self::submit_line`], or
+    /// by the daemon for a line past the cap before it ends — as one
+    /// errored request, with the framed `err <kind>: …` response.
+    pub(crate) fn refuse(&mut self, e: &ProtocolError) -> String {
+        self.stats.requests += 1;
+        self.stats.errors += 1;
+        format!("err {}: {e}\n{TERMINATOR}\n", e.kind())
     }
 
     fn submit(&mut self, cmd: Command) -> String {

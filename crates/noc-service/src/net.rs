@@ -12,18 +12,24 @@
 //! every request line *before* applying it and rebuilds its engine
 //! from the journal on startup — see [`crate::journal`].
 //!
+//! The daemon buffers at most [`MAX_LINE_BYTES`] + 2 bytes of a line
+//! (room for its `\r\n`). A line that runs past that without a newline
+//! is answered at once with the engine's `err overflow:` response for
+//! the bytes read, journaled as those bytes (decoded lossily, since the
+//! cap may cut a character), and the rest of it is discarded unread.
+//!
 //! The client side is hardened against a hung or flaky daemon:
 //! [`Client::connect_to`] bounds the connect, [`Client::set_read_timeout`]
 //! bounds each response read, and [`request`] wraps both in a bounded
 //! retry loop with deterministic backoff.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::engine::{Engine, EngineConfig};
 use crate::journal::{recover, Journal};
-use crate::protocol::TERMINATOR;
+use crate::protocol::{ProtocolError, MAX_LINE_BYTES, TERMINATOR};
 
 /// The `nocd` daemon: a bound listener plus the admission engine.
 #[derive(Debug)]
@@ -106,22 +112,59 @@ impl Server {
 
     fn serve_connection(&mut self, stream: TcpStream) -> std::io::Result<()> {
         let mut writer = stream.try_clone()?;
-        let reader = BufReader::new(stream);
-        for line in reader.lines() {
-            let line = line?;
-            // Journal before applying: a request is durable before it
-            // can mutate state.
-            if let Some(journal) = &mut self.journal {
-                journal.record(&line)?;
+        let mut reader = BufReader::new(stream);
+        let cap = MAX_LINE_BYTES + 2;
+        let mut buf = Vec::with_capacity(cap);
+        loop {
+            buf.clear();
+            if reader
+                .by_ref()
+                .take(cap as u64)
+                .read_until(b'\n', &mut buf)?
+                == 0
+            {
+                return Ok(());
             }
-            let response = self.engine.submit_line(&line);
+            let overflow = buf.len() == cap && buf.last() != Some(&b'\n');
+            let response = if overflow {
+                self.record(&String::from_utf8_lossy(&buf))?;
+                self.engine.refuse(&ProtocolError::Overflow {
+                    what: "line bytes",
+                    limit: MAX_LINE_BYTES,
+                    got: cap,
+                })
+            } else {
+                // The line as `BufRead::lines` yields it: without its
+                // `\n` or `\r\n`, and only when it is UTF-8.
+                if buf.last() == Some(&b'\n') {
+                    buf.pop();
+                    if buf.last() == Some(&b'\r') {
+                        buf.pop();
+                    }
+                }
+                let line = std::str::from_utf8(&buf)
+                    .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+                self.record(line)?;
+                self.engine.submit_line(line)
+            };
             writer.write_all(response.as_bytes())?;
             writer.flush()?;
+            if overflow {
+                reader.skip_until(b'\n')?;
+            }
             if self.engine.is_shutdown() {
-                break;
+                return Ok(());
             }
         }
-        Ok(())
+    }
+
+    /// Journals `line` before it is applied, so a request is durable
+    /// before it can mutate state.
+    fn record(&mut self, line: &str) -> std::io::Result<()> {
+        match &mut self.journal {
+            Some(journal) => journal.record(line),
+            None => Ok(()),
+        }
     }
 }
 
@@ -318,6 +361,65 @@ mod tests {
         // Three bounded attempts, not a hang.
         assert!(started.elapsed() < Duration::from_secs(5));
         let _ = stop.send(());
+    }
+
+    /// Reads one framed response (through its `.` terminator line).
+    fn read_response(reader: &mut impl BufRead) -> String {
+        let mut response = String::new();
+        while !response.ends_with(&format!("\n{TERMINATOR}\n")) {
+            assert_ne!(reader.read_line(&mut response).unwrap(), 0, "{response:?}");
+        }
+        response
+    }
+
+    /// A line that passes the cap is answered before its newline
+    /// arrives, from the bytes read; its tail is discarded unparsed, and
+    /// the journal holds the bytes read, decoded lossily where the cap
+    /// cut a character.
+    #[test]
+    fn an_overlong_line_is_answered_before_its_newline() {
+        let path = std::env::temp_dir().join(format!("nocd-overflow-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let server = Server::bind_with_journal(EngineConfig::default(), 0, &path).unwrap();
+        let port = server.port().unwrap();
+        let daemon = std::thread::spawn(move || server.run());
+        let stream = TcpStream::connect(("127.0.0.1", port)).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+
+        // 5000 bytes and no newline; the cap cuts the two-byte `é`.
+        let mut line = vec![b'a'; MAX_LINE_BYTES + 1];
+        line.extend_from_slice("é".as_bytes());
+        line.resize(5000, b'a');
+        writer.write_all(&line).unwrap();
+        assert_eq!(
+            read_response(&mut reader),
+            format!("err overflow: line bytes 4098 exceeds cap 4096\n{TERMINATOR}\n")
+        );
+
+        // The line's tail would be an errored request if it were parsed.
+        writer.write_all(b"aaaa\nstats\n").unwrap();
+        let stats = read_response(&mut reader);
+        assert!(
+            stats.contains("requests=2 adds=0 modifies=0 removes=0 errors=1\n"),
+            "{stats}"
+        );
+        writer.write_all(b"shutdown\n").unwrap();
+        read_response(&mut reader);
+        daemon.join().unwrap().unwrap();
+
+        let journal = std::fs::read_to_string(&path).unwrap();
+        let expected = format!("{}\u{fffd}\nstats\n", "a".repeat(MAX_LINE_BYTES + 1));
+        assert_eq!(journal, expected);
+        let recovered = crate::journal::recover(EngineConfig::default(), &path).unwrap();
+        assert_eq!(
+            (recovered.stats().requests, recovered.stats().errors),
+            (2, 1)
+        );
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -38,7 +38,8 @@
 //! more than [`MAX_FLOWS`] flow clauses, or more than
 //! [`MAX_FAULT_INDICES`] fault indices is rejected with
 //! [`ProtocolError::Overflow`] *before* any allocation proportional to
-//! the oversized input. Grammar violations are
+//! the oversized input (the daemon reads at most `MAX_LINE_BYTES + 2`
+//! bytes of a line, see [`crate::net`]). Grammar violations are
 //! [`ProtocolError::Syntax`]. Every malformed input maps to an `err …`
 //! response — never a panic (pinned by a seeded byte-salad property
 //! test in the engine).

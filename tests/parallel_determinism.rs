@@ -115,11 +115,10 @@ fn per_group_remapping_is_identical_across_thread_counts() {
     }
 }
 
-/// The strategy portfolio (PR 8) extends the byte-identity contract:
-/// every [`StrategyKind`] — greedy, displacement local search, bounded
-/// branch-and-bound — must produce the same [`StrategyOutcome`] (solution
-/// *and* work accounting: evictions, nodes expanded) at every worker
-/// count. The refinement searches route candidates through the shared
+/// The strategy portfolio extends the byte-identity contract: every
+/// [`StrategyKind`] — greedy and displacement local search — must
+/// produce the same [`StrategyOutcome`] (solution *and* work
+/// accounting: evictions) at every worker count. The refinement searches route candidates through the shared
 /// route cache, so this also pins the cache as schedule-independent.
 ///
 /// [`StrategyOutcome`]: noc_multiusecase::map::strategy::StrategyOutcome

@@ -15,21 +15,6 @@ use noc_multiusecase::usecase::spec::{CoreId, SocSpec, UseCase, UseCaseBuilder};
 use noc_multiusecase::usecase::UseCaseGroups;
 use proptest::prelude::*;
 
-fn uc(name: &str, flows: &[(u32, u32, u64)]) -> UseCase {
-    let mut b = UseCaseBuilder::new(name);
-    for &(s, d, bw) in flows {
-        b = b
-            .flow(
-                CoreId::new(s),
-                CoreId::new(d),
-                Bandwidth::from_mbps(bw),
-                Latency::UNCONSTRAINED,
-            )
-            .unwrap();
-    }
-    b.build()
-}
-
 /// A preset-pure base solution (greedy placement frozen into a preset),
 /// the form `heal` requires.
 fn preset_base(

@@ -57,10 +57,10 @@ OP_KEYS_V6 = OP_KEYS_V5 | {
 OP_KEY_SETS = (OP_KEYS_V1, OP_KEYS_V2, OP_KEYS_V3, OP_KEYS_V4, OP_KEYS_V5, OP_KEYS_V6)
 SUITE_KEYS = {"label", "switches", "map_ms", "anneal_ms", "map_ops", "anneal_ops"}
 SUITE_KEYS_V2 = SUITE_KEYS | {"trace_ms"}
-# PR 8 frontier records: one row per (benchmark, strategy), strategy-keyed
+# Frontier records: one row per (benchmark, strategy), strategy-keyed
 # quality and op columns. Every field is deterministic (no wall-clock).
-FRONTIER_ROW_KEYS = {"bench", "strategy", "switches", "cost", "evictions", "nodes", "ops"}
-STRATEGIES = {"greedy", "displacement", "bnb"}
+FRONTIER_ROW_KEYS = {"bench", "strategy", "switches", "cost", "evictions", "ops"}
+STRATEGIES = {"greedy", "displacement"}
 # PR 9 service records: one row per (fabric, admission mode), admission
 # outcome + reconfiguration ops. Every field is deterministic (the
 # seeded trace replays byte-identically at any worker count).
