@@ -35,7 +35,7 @@
 //! status note goes to stderr so stdout stays byte-identical.
 
 use noc_flow::cli::{take_threads, take_trace, write_trace};
-use noc_flow::{registry, render, run_spec};
+use noc_flow::{out, outln, registry, render, run_spec};
 
 fn run(name: &str) {
     let spec = match registry::find(name) {
@@ -46,8 +46,8 @@ fn run(name: &str) {
         }
     };
     match run_spec(&spec) {
-        Ok(output) => print!("{}", render::render(&output)),
-        Err(e) => println!("{name} failed: {e}"),
+        Ok(output) => out!("{}", render::render(&output)),
+        Err(e) => outln!("{name} failed: {e}"),
     }
 }
 

@@ -99,7 +99,7 @@ use noc_flow::cli::{
     take_flag, take_num, take_opt, take_string, take_threads, take_trace, write_trace,
 };
 use noc_flow::config::{experiment_to_text, spec_from_text, FlowConfig, SpecFile, StageConfig};
-use noc_flow::{registry, render, run_spec, FlowError};
+use noc_flow::{out, outln, registry, render, run_spec, FlowError};
 use noc_usecase::spec::SocSpec;
 use noc_usecase::UseCaseGroups;
 use nocmap::emit::emit_text;
@@ -155,7 +155,7 @@ fn cmd_gen(mut args: Vec<String>) -> Result<(), FlowError> {
         "bot" => BottleneckConfig::paper(use_cases).generate(seed),
         other => return Err(FlowError::Usage(format!("unknown benchmark '{other}'"))),
     };
-    print!("{}", noc_usecase::to_text(&soc));
+    out!("{}", noc_usecase::to_text(&soc));
     Ok(())
 }
 
@@ -179,7 +179,7 @@ fn cmd_design(mut args: Vec<String>) -> Result<(), FlowError> {
         .ok_or_else(|| FlowError::Usage("design needs a spec file".into()))?;
 
     let soc = read_soc(spec_path)?;
-    println!(
+    outln!(
         "loaded '{}': {} cores, {} use-cases, {} flows",
         soc.name(),
         soc.core_count(),
@@ -224,7 +224,7 @@ fn cmd_design(mut args: Vec<String>) -> Result<(), FlowError> {
     let elapsed = t0.elapsed();
     let solution = ctx.solution()?;
 
-    println!(
+    outln!(
         "designed in {elapsed:.2?} ({} noc-par worker{})",
         noc_par::current_threads(),
         if noc_par::current_threads() == 1 {
@@ -233,16 +233,16 @@ fn cmd_design(mut args: Vec<String>) -> Result<(), FlowError> {
             "s"
         }
     );
-    println!("{}", SolutionReport::analyze(solution));
+    outln!("{}", SolutionReport::analyze(solution));
 
     if compare_wc {
         match ctx.wc.as_ref().expect("worst-case stage ran") {
-            Ok(wc) => println!(
+            Ok(wc) => outln!(
                 "worst-case baseline: {} switches ({}x ours)",
                 wc.switch_count(),
                 wc.switch_count() as f64 / solution.switch_count() as f64
             ),
-            Err(e) => println!("worst-case baseline: infeasible ({e})"),
+            Err(e) => outln!("worst-case baseline: infeasible ({e})"),
         }
     }
 
@@ -252,7 +252,7 @@ fn cmd_design(mut args: Vec<String>) -> Result<(), FlowError> {
             path: path.clone(),
             message: format!("cannot write: {e}"),
         })?;
-        println!(
+        outln!(
             "configuration artifact written to {path} ({} bytes)",
             artifact.len()
         );
@@ -263,22 +263,22 @@ fn cmd_design(mut args: Vec<String>) -> Result<(), FlowError> {
 /// Prints a flow-config run: the stage trace, the analytic report, and
 /// summaries of whatever artifacts the stages produced.
 fn print_flow_outcome(ctx: &noc_flow::FlowContext) -> Result<(), FlowError> {
-    println!("flow: {}", ctx.trace.join(" -> "));
+    outln!("flow: {}", ctx.trace.join(" -> "));
     let solution = ctx.solution()?;
-    println!("{}", SolutionReport::analyze(solution));
+    outln!("{}", SolutionReport::analyze(solution));
     if let Some(wc) = &ctx.wc {
         match wc {
-            Ok(wc) => println!(
+            Ok(wc) => outln!(
                 "worst-case baseline: {} switches ({}x ours)",
                 wc.switch_count(),
                 wc.switch_count() as f64 / solution.switch_count() as f64
             ),
-            Err(e) => println!("worst-case baseline: infeasible ({e})"),
+            Err(e) => outln!("worst-case baseline: infeasible ({e})"),
         }
     }
     if let Some(remapped) = &ctx.remapped {
         let moved: usize = remapped.moved.iter().map(Vec::len).sum();
-        println!("remap: {moved} core relocation(s) across groups");
+        outln!("remap: {moved} core relocation(s) across groups");
     }
     if !ctx.sim_reports.is_empty() {
         let contention: u64 = ctx
@@ -288,7 +288,7 @@ fn print_flow_outcome(ctx: &noc_flow::FlowContext) -> Result<(), FlowError> {
             .sum();
         let late: u64 = ctx.sim_reports.iter().map(|r| r.latency_violations).sum();
         let delivered = ctx.sim_reports.iter().all(|r| r.all_flows_delivered());
-        println!(
+        outln!(
             "simulated {} use-case(s): contention {contention}, late words {late}, delivered {}",
             ctx.sim_reports.len(),
             if delivered { "yes" } else { "NO" }
@@ -306,7 +306,7 @@ fn cmd_flow(mut args: Vec<String>) -> Result<(), FlowError> {
     match sub.as_str() {
         "list" => {
             for spec in registry::registry() {
-                println!("{:<10} {}", spec.name, spec.title);
+                outln!("{:<10} {}", spec.name, spec.title);
             }
             Ok(())
         }
@@ -314,7 +314,7 @@ fn cmd_flow(mut args: Vec<String>) -> Result<(), FlowError> {
             let name = args
                 .get(1)
                 .ok_or_else(|| FlowError::Usage("flow show needs an experiment name".into()))?;
-            print!("{}", experiment_to_text(&registry::find(name)?));
+            out!("{}", experiment_to_text(&registry::find(name)?));
             Ok(())
         }
         "run" => {
@@ -348,7 +348,7 @@ fn cmd_flow(mut args: Vec<String>) -> Result<(), FlowError> {
                         ));
                     }
                     let output = run_spec(&spec)?;
-                    print!("{}", render::render(&output));
+                    out!("{}", render::render(&output));
                     Ok(())
                 }
                 SpecFile::Flow(config) => {
@@ -370,20 +370,28 @@ fn cmd_flow(mut args: Vec<String>) -> Result<(), FlowError> {
     }
 }
 
+/// Writes a `kind` run record into the trajectory at `path` and says
+/// whether it replaced the record labelled `label` or was appended.
+fn save_record(kind: &str, label: &str, path: &str, record: &str) -> Result<(), FlowError> {
+    let written =
+        noc_bench::perf_json::append_run(std::path::Path::new(path), record).map_err(|e| {
+            FlowError::Io {
+                path: path.to_string(),
+                message: format!("cannot write trajectory: {e}"),
+            }
+        })?;
+    outln!("{kind} record '{label}' {written} {path}");
+    Ok(())
+}
+
 fn cmd_perf(mut args: Vec<String>) -> Result<(), FlowError> {
     let json_path = take_string(&mut args, "--json")?;
     let label = take_string(&mut args, "--label")?.unwrap_or_else(|| "local".to_string());
     let points = noc_bench::perf();
-    print!("{}", noc_bench::format_perf(&points));
+    out!("{}", noc_bench::format_perf(&points));
     if let Some(path) = json_path {
         let record = noc_bench::perf_json::run_record(&label, noc_par::current_threads(), &points);
-        noc_bench::perf_json::append_run(std::path::Path::new(&path), &record).map_err(|e| {
-            FlowError::Io {
-                path: path.clone(),
-                message: format!("cannot write trajectory: {e}"),
-            }
-        })?;
-        println!("perf record '{label}' appended to {path}");
+        save_record("perf", &label, &path, &record)?;
     }
     Ok(())
 }
@@ -392,17 +400,11 @@ fn cmd_frontier(mut args: Vec<String>) -> Result<(), FlowError> {
     let json_path = take_string(&mut args, "--json")?;
     let label = take_string(&mut args, "--label")?.unwrap_or_else(|| "local".to_string());
     let points = noc_bench::frontier()?;
-    print!("{}", noc_bench::format_frontier(&points));
+    out!("{}", noc_bench::format_frontier(&points));
     if let Some(path) = json_path {
         let record =
             noc_bench::perf_json::frontier_record(&label, noc_par::current_threads(), &points);
-        noc_bench::perf_json::append_run(std::path::Path::new(&path), &record).map_err(|e| {
-            FlowError::Io {
-                path: path.clone(),
-                message: format!("cannot write trajectory: {e}"),
-            }
-        })?;
-        println!("frontier record '{label}' appended to {path}");
+        save_record("frontier", &label, &path, &record)?;
     }
     Ok(())
 }
@@ -478,7 +480,7 @@ fn cmd_request(mut args: Vec<String>) -> Result<(), FlowError> {
         path: format!("127.0.0.1:{port}"),
         message: format!("request failed: {e}"),
     })?;
-    print!("{response}");
+    out!("{response}");
     Ok(())
 }
 
@@ -493,10 +495,10 @@ fn cmd_replay(mut args: Vec<String>) -> Result<(), FlowError> {
         message: m,
     })?;
     if transcript {
-        print!("{}", replay.transcript);
+        out!("{}", replay.transcript);
     }
     let s = replay.stats;
-    println!(
+    outln!(
         "replayed {requests} requests (seed {seed}, mode {}): admitted={} rejected={} \
          blocking={:.4} displaced={} evictions={} flushes={}",
         mode.token(),
@@ -514,17 +516,11 @@ fn cmd_service(mut args: Vec<String>) -> Result<(), FlowError> {
     let json_path = take_string(&mut args, "--json")?;
     let label = take_string(&mut args, "--label")?.unwrap_or_else(|| "local".to_string());
     let points = noc_bench::service()?;
-    print!("{}", noc_bench::format_service(&points));
+    out!("{}", noc_bench::format_service(&points));
     if let Some(path) = json_path {
         let record =
             noc_bench::perf_json::service_record(&label, noc_par::current_threads(), &points);
-        noc_bench::perf_json::append_run(std::path::Path::new(&path), &record).map_err(|e| {
-            FlowError::Io {
-                path: path.clone(),
-                message: format!("cannot write trajectory: {e}"),
-            }
-        })?;
-        println!("service record '{label}' appended to {path}");
+        save_record("service", &label, &path, &record)?;
     }
     Ok(())
 }
@@ -533,17 +529,11 @@ fn cmd_resilience(mut args: Vec<String>) -> Result<(), FlowError> {
     let json_path = take_string(&mut args, "--json")?;
     let label = take_string(&mut args, "--label")?.unwrap_or_else(|| "local".to_string());
     let points = noc_bench::resilience()?;
-    print!("{}", noc_bench::format_resilience(&points));
+    out!("{}", noc_bench::format_resilience(&points));
     if let Some(path) = json_path {
         let record =
             noc_bench::perf_json::resilience_record(&label, noc_par::current_threads(), &points);
-        noc_bench::perf_json::append_run(std::path::Path::new(&path), &record).map_err(|e| {
-            FlowError::Io {
-                path: path.clone(),
-                message: format!("cannot write trajectory: {e}"),
-            }
-        })?;
-        println!("resilience record '{label}' appended to {path}");
+        save_record("resilience", &label, &path, &record)?;
     }
     Ok(())
 }
@@ -576,7 +566,7 @@ fn main() -> ExitCode {
         "design" => Some(cmd_design(args)),
         "flow" => Some(cmd_flow(args)),
         "be-burst" | "be_burst" => {
-            print!("{}", noc_bench::format_be_burst(&noc_bench::be_burst()));
+            out!("{}", noc_bench::format_be_burst(&noc_bench::be_burst()));
             Some(Ok(()))
         }
         "perf" => Some(cmd_perf(args)),

@@ -230,27 +230,47 @@ fn label_key(record: &str) -> Option<&str> {
     record.find("\",\"threads\":").map(|i| &record[..=i])
 }
 
+/// Where [`append_run`] put a record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Written {
+    /// At the end of the trajectory (a new label, or a new file).
+    Appended,
+    /// In place of the record with the same label.
+    Replaced,
+}
+
+impl std::fmt::Display for Written {
+    /// `appended to` / `replaced in`, to be followed by the file name.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Written::Appended => "appended to",
+            Written::Replaced => "replaced in",
+        })
+    }
+}
+
 /// Inserts `record` (a [`run_record`] line) into the trajectory file at
 /// `path`, creating the document if the file does not exist. A record
 /// whose label already appears in the trajectory is **replaced in
-/// place** (same position, so `trajectory[-1]` comparisons stay
-/// meaningful); a new label is appended. Re-running
-/// `nocmap_cli perf --label L` therefore updates L's record instead of
-/// accumulating duplicates.
+/// place** (same position, so the trajectory's order is kept); a new
+/// label is appended. Re-running `nocmap_cli perf --label L` therefore
+/// updates L's record instead of accumulating duplicates. Returns which
+/// of the two it did.
 ///
 /// # Errors
 ///
 /// I/O failures, a malformed record (no label field), or a file that is
 /// not a trajectory document this module wrote (the splice markers are
 /// missing).
-pub fn append_run(path: &std::path::Path, record: &str) -> std::io::Result<()> {
+pub fn append_run(path: &std::path::Path, record: &str) -> std::io::Result<Written> {
     let bad = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
     let key =
         label_key(record).ok_or_else(|| bad(format!("run record has no label field: {record}")))?;
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return std::fs::write(path, document(std::slice::from_ref(&record.to_string())));
+            std::fs::write(path, document(std::slice::from_ref(&record.to_string())))?;
+            return Ok(Written::Appended);
         }
         Err(e) => return Err(e),
     };
@@ -268,11 +288,18 @@ pub fn append_run(path: &std::path::Path, record: &str) -> std::io::Result<()> {
         .map(str::to_string)
         .collect();
     let marker = format!("{key},");
-    match records.iter().position(|r| r.starts_with(&marker)) {
-        Some(i) => records[i] = record.to_string(),
-        None => records.push(record.to_string()),
-    }
-    std::fs::write(path, document(&records))
+    let written = match records.iter().position(|r| r.starts_with(&marker)) {
+        Some(i) => {
+            records[i] = record.to_string();
+            Written::Replaced
+        }
+        None => {
+            records.push(record.to_string());
+            Written::Appended
+        }
+    };
+    std::fs::write(path, document(&records))?;
+    Ok(written)
 }
 
 #[cfg(test)]
@@ -285,8 +312,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bench.json");
         let _ = std::fs::remove_file(&path);
-        append_run(&path, "{\"label\":\"a\",\"threads\":1,\"suites\":[]}").unwrap();
-        append_run(&path, "{\"label\":\"b\",\"threads\":4,\"suites\":[]}").unwrap();
+        let a = append_run(&path, "{\"label\":\"a\",\"threads\":1,\"suites\":[]}").unwrap();
+        let b = append_run(&path, "{\"label\":\"b\",\"threads\":4,\"suites\":[]}").unwrap();
+        assert_eq!((a, b), (Written::Appended, Written::Appended));
+        assert_eq!(a.to_string(), "appended to");
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.matches("\"label\":").count(), 2);
         assert!(text.starts_with("{\n  \"schema\": 1,\n  \"trajectory\": [\n"));
@@ -303,7 +332,9 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         append_run(&path, "{\"label\":\"a\",\"threads\":1,\"suites\":[]}").unwrap();
         append_run(&path, "{\"label\":\"b\",\"threads\":1,\"suites\":[]}").unwrap();
-        append_run(&path, "{\"label\":\"a\",\"threads\":4,\"suites\":[]}").unwrap();
+        let again = append_run(&path, "{\"label\":\"a\",\"threads\":4,\"suites\":[]}").unwrap();
+        assert_eq!(again, Written::Replaced);
+        assert_eq!(again.to_string(), "replaced in");
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.matches("\"label\":\"a\"").count(), 1, "{text}");
         // Replacement happens in place: 'a' still precedes 'b'.
@@ -312,7 +343,8 @@ mod tests {
                 < text.find("\"label\":\"b\"").unwrap()
         );
         // A label that merely *prefixes* another must not match it.
-        append_run(&path, "{\"label\":\"ab\",\"threads\":1,\"suites\":[]}").unwrap();
+        let prefixed = append_run(&path, "{\"label\":\"ab\",\"threads\":1,\"suites\":[]}").unwrap();
+        assert_eq!(prefixed, Written::Appended);
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.matches("\"label\":").count(), 3);
     }

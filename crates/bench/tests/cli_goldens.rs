@@ -88,3 +88,33 @@ fn nocmap_cli_flow_show_round_trips_through_flow_run() {
     );
     assert_eq!(out, golden("fig6a.txt"));
 }
+
+/// A reader that stops early (`nocmap_cli … | head -1`) ends the binary
+/// quietly: status 0 and nothing on stderr, not a broken-pipe panic.
+/// The 2000-request transcript is larger than a pipe buffer, so the
+/// binary is still writing when the reader goes away.
+#[test]
+fn nocmap_cli_exits_quietly_when_stdout_closes_early() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_nocmap_cli"))
+        .args(["replay", "--requests", "2000", "--transcript"])
+        .env_remove("NOC_PAR_THREADS")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut stdout = BufReader::new(child.stdout.take().expect("stdout is piped"));
+    let mut first = String::new();
+    stdout.read_line(&mut first).expect("one line");
+    assert!(first.starts_with("> add "), "{first}");
+    drop(stdout);
+    let out = child.wait_with_output().expect("binary exits");
+    assert!(out.status.success(), "exit {:?}", out.status);
+    assert!(
+        out.stderr.is_empty(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}

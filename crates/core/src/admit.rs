@@ -11,9 +11,9 @@
 //!    NIs (each core on the NI minimizing its merged
 //!    `bandwidth × hop-distance` to already-placed partners), then
 //!    route only the new group via [`reroute_preset_groups`] —
-//!    every other group's configuration is spliced verbatim from the
-//!    running solution, so an uncontended admission costs one group
-//!    route, not a full map.
+//!    every other group keeps its configuration in the running
+//!    solution, so an uncontended admission costs one group route, not
+//!    a full map.
 //! 2. **Displacement on conflict** — when routing fails, blocking
 //!    placements are displaced and re-placed instead of re-solving: the
 //!    failing flow's endpoint is moved to another NI (swapping with the
@@ -23,9 +23,11 @@
 //!    [`RemapConfig`](crate::remap::RemapConfig) move bound — so a
 //!    stream of admissions can never silently degenerate into a global
 //!    re-map.
-//! 3. **Reject** — NI exhaustion, a flow exceeding whole-table link
-//!    capacity, or budget/candidate exhaustion reject the request and
-//!    leave the running solution untouched.
+//! 3. **Reject** — NI exhaustion, a core whose flows cannot share its
+//!    NI link (the NI-link certificate, checked before any search), a
+//!    flow exceeding whole-table link capacity, or budget/candidate
+//!    exhaustion reject the request and leave the running solution
+//!    untouched.
 //!
 //! Everything here is a pure function of its inputs — candidate orders
 //! are sorted, no RNG, no wall clock — so admission decisions are
@@ -36,14 +38,15 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use noc_obs::{count, Counter};
-use noc_topology::{DegradedView, NodeId};
+use noc_tdma::TdmaSpec;
+use noc_topology::{DegradedView, NodeId, Topology};
 use noc_usecase::spec::{CoreId, SocSpec};
 use noc_usecase::UseCaseGroups;
 
 use crate::error::MapError;
 use crate::mapper::{reroute_preset_groups, MapperOptions, RouteCache};
 use crate::merge::MergedFlow;
-use crate::result::MappingSolution;
+use crate::result::{MappingSolution, SolutionDelta};
 use crate::seat::{
     core_weights, displacement_targets, free_nis, groups_touching, heaviest_first, occupant, seat,
     swap,
@@ -55,12 +58,15 @@ use crate::seat::{
 /// repair only shuffles the new group's own (free-to-move) cores.
 pub const ADMIT_REPAIR_ATTEMPTS: usize = 24;
 
-/// A successful admission: the updated solution plus its
-/// reconfiguration accounting.
+/// A successful admission: what changed in the running solution, plus
+/// its reconfiguration accounting.
 #[derive(Debug, Clone)]
 pub struct Admission {
-    /// The running solution with the group admitted.
-    pub solution: MappingSolution,
+    /// The placement with the group admitted, and the configs of the
+    /// admitted group and of every group re-routed around a moved core.
+    /// [`MappingSolution::splice`] it into the `base` passed to
+    /// [`admit_group`]; every other group keeps its config there.
+    pub delta: SolutionDelta,
     /// Cores newly placed for this group (sorted; cores the group shares
     /// with already-admitted use-cases are not re-placed and not listed).
     pub placed: Vec<CoreId>,
@@ -73,7 +79,7 @@ pub struct Admission {
 }
 
 /// Why an admission was rejected. The running solution is untouched.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RejectReason {
     /// More unplaced cores than free NIs — no placement exists.
     NisExhausted {
@@ -82,9 +88,40 @@ pub enum RejectReason {
         /// Free NIs available.
         free: usize,
     },
+    /// The slots one core's flows need out of it (or into it) exceed
+    /// one slot table, so they cannot share its NI link wherever the
+    /// core is placed.
+    NiLinkOversubscribed {
+        /// The first such core, in `CoreId` order.
+        core: CoreId,
+        /// The overloaded side of its NI link (sending is checked first).
+        direction: NiDirection,
+        /// Slots the core's flows need on that side, summed.
+        needed: usize,
+        /// Slots in one table.
+        available: usize,
+    },
     /// No feasible routing found within the eviction budget and repair
     /// attempt cap; carries the last mapper error seen.
     Unroutable(MapError),
+}
+
+/// A side of a core's NI link.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NiDirection {
+    /// The flows out of the core.
+    Send,
+    /// The flows into the core.
+    Receive,
+}
+
+impl fmt::Display for NiDirection {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            NiDirection::Send => "send",
+            NiDirection::Receive => "receive",
+        })
+    }
 }
 
 impl fmt::Display for RejectReason {
@@ -93,23 +130,42 @@ impl fmt::Display for RejectReason {
             RejectReason::NisExhausted { needed, free } => {
                 write!(f, "nis-exhausted needed={needed} free={free}")
             }
+            RejectReason::NiLinkOversubscribed {
+                core,
+                direction,
+                needed,
+                available,
+            } => write!(
+                f,
+                "ni-link-oversubscribed {core} {direction} needed={needed} available={available}"
+            ),
             RejectReason::Unroutable(e) => write!(f, "unroutable: {e}"),
         }
     }
 }
 
-/// Admits group `group` into the running solution `base`.
+/// Admits group `group` into the running solution `base`, returning
+/// the change as an [`Admission::delta`] to splice into `base`.
 ///
 /// `base` must carry one (preset-pure) config per group of `groups`,
 /// with a placeholder (e.g. empty) config at index `group` — the
-/// admitted group is always re-routed, so the placeholder is never
-/// spliced. `base.core_mapping()` must place every core of every *other*
-/// group; cores of the admitted group that already appear there (shared
-/// with admitted use-cases, or a modify keeping its placement) are kept,
-/// the rest are placed greedily. `merged` must be
+/// admitted group is always re-routed, so the delta always replaces the
+/// placeholder. `base.core_mapping()` must place every core of every
+/// *other* group; cores of the admitted group that already appear there
+/// (shared with admitted use-cases, or a modify keeping its placement)
+/// are kept, the rest are placed greedily. `merged` must be
 /// `merged_group_flows(soc, groups)` and `cache` a [`RouteCache`] built
-/// for the same partition — hits from earlier admissions are spliced
+/// for the same partition — hits from earlier admissions are reused
 /// instead of re-routed.
+///
+/// Before seating or routing anything, the admitted group's flows pass
+/// the NI-link certificate: the slots one core's flows need out of it,
+/// and separately into it, must fit one slot table
+/// ([`RejectReason::NiLinkOversubscribed`] otherwise). Every flow
+/// crosses both of its cores' NI links in the group's own tables,
+/// wherever the cores are placed, so no repair could admit such a group.
+/// A group with a single flow larger than a table skips the certificate
+/// and is refused by the mapper's capacity check instead.
 ///
 /// `budget` bounds the pre-existing cores the displacement repair may
 /// move; the returned [`Admission::evictions`] never exceeds it.
@@ -163,6 +219,10 @@ pub fn admit_group(
             free: free.len(),
         });
     }
+    if let Some(overload) = ni_link_overload(topo, base.spec(), &merged[group]) {
+        count(Counter::Rejections, 1);
+        return Err(overload);
+    }
 
     // Greedy fast path: seat each unplaced core on the free NI minimizing
     // its merged bandwidth × hop-distance to already-placed partners
@@ -185,7 +245,15 @@ pub fn admit_group(
         let mut affected = groups_touching(merged, |c| relocated.contains(&c));
         affected[group] = true;
         reroute_preset_groups(
-            soc, groups, base, options, placement, &affected, merged, cache,
+            soc,
+            groups,
+            topo,
+            base.spec(),
+            options,
+            placement,
+            &affected,
+            merged,
+            cache,
         )
     };
 
@@ -199,7 +267,7 @@ pub fn admit_group(
     let mut last_err = None;
     for _ in 0..ADMIT_REPAIR_ATTEMPTS {
         match route(&placement, &relocated, cache) {
-            Ok(solution) => {
+            Ok(delta) => {
                 let moved: Vec<CoreId> = relocated
                     .iter()
                     .copied()
@@ -213,7 +281,7 @@ pub fn admit_group(
                 count(Counter::Admissions, 1);
                 count(Counter::DisplacementEvictions, evictions);
                 return Ok(Admission {
-                    solution,
+                    delta,
                     placed: {
                         let mut placed = new_cores.clone();
                         placed.sort();
@@ -256,6 +324,48 @@ pub fn admit_group(
     Err(RejectReason::Unroutable(
         last_err.expect("repair loop only exits through a recorded error"),
     ))
+}
+
+/// The NI-link certificate of [`admit_group`]: the first core of
+/// `flows`, in `CoreId` order, whose flows need more slots out of it
+/// (checked first) or into it than one table holds. `None` when every
+/// core fits, when a single flow exceeds a table on its own (the
+/// mapper's capacity check reports that), or when some NI of `topo` has
+/// more than one link either way, so a core's traffic could split.
+fn ni_link_overload(
+    topo: &Topology,
+    spec: TdmaSpec,
+    flows: &BTreeMap<(CoreId, CoreId), MergedFlow>,
+) -> Option<RejectReason> {
+    let available = spec.slots();
+    let mut needed: BTreeMap<CoreId, [usize; 2]> = BTreeMap::new();
+    for (&(src, dst), f) in flows {
+        let slots = spec.slots_for_bandwidth(f.bandwidth);
+        if slots > available {
+            return None;
+        }
+        needed.entry(src).or_default()[0] += slots;
+        needed.entry(dst).or_default()[1] += slots;
+    }
+    let (core, direction, needed) = needed.into_iter().find_map(|(core, [out, into])| {
+        if out > available {
+            Some((core, NiDirection::Send, out))
+        } else if into > available {
+            Some((core, NiDirection::Receive, into))
+        } else {
+            None
+        }
+    })?;
+    let single_link = |ni: &NodeId| topo.outgoing(*ni).len() == 1 && topo.incoming(*ni).len() == 1;
+    topo.nis()
+        .iter()
+        .all(single_link)
+        .then_some(RejectReason::NiLinkOversubscribed {
+            core,
+            direction,
+            needed,
+            available,
+        })
 }
 
 /// Picks the next untried `(mover, target NI)` displacement within the
@@ -316,7 +426,6 @@ mod tests {
     use crate::merge::merged_group_flows;
     use crate::result::GroupConfig;
     use crate::strategy::displacement_eviction_budget;
-    use noc_tdma::TdmaSpec;
     use noc_topology::units::{Bandwidth, Latency};
     use noc_topology::{FaultSet, MeshBuilder};
     use noc_usecase::spec::UseCaseBuilder;
@@ -349,6 +458,13 @@ mod tests {
             map_multi_usecase(soc, &groups, topo, TdmaSpec::paper_default(), &options).unwrap();
         let preset = preset_twin(soc, &groups, &options, &greedy).unwrap();
         (preset, options)
+    }
+
+    /// The running solution after `adm`: its delta spliced into `base`.
+    fn spliced(base: &MappingSolution, adm: &Admission) -> MappingSolution {
+        let mut solution = base.clone();
+        solution.splice(adm.delta.clone());
+        solution
     }
 
     /// Extends a preset-pure base solution with a placeholder config for
@@ -386,10 +502,11 @@ mod tests {
         assert!(adm.moved.is_empty());
         assert_eq!(adm.evictions, 0);
         // Existing cores kept their NIs.
+        let solution = spliced(&base, &adm);
         for (core, ni) in base.core_mapping() {
-            assert_eq!(adm.solution.core_mapping()[core], *ni);
+            assert_eq!(solution.core_mapping()[core], *ni);
         }
-        adm.solution.verify(&soc, &groups).unwrap();
+        solution.verify(&soc, &groups).unwrap();
     }
 
     #[test]
@@ -466,11 +583,9 @@ mod tests {
         let adm = admit_group(&soc, &groups, &base, &options, 1, 6, &merged, &mut cache).unwrap();
         // Only the genuinely new core is placed.
         assert_eq!(adm.placed, vec![c(4)]);
-        assert_eq!(
-            adm.solution.core_mapping()[&c(0)],
-            base.core_mapping()[&c(0)]
-        );
-        adm.solution.verify(&soc, &groups).unwrap();
+        let solution = spliced(&base, &adm);
+        assert_eq!(solution.core_mapping()[&c(0)], base.core_mapping()[&c(0)]);
+        solution.verify(&soc, &groups).unwrap();
     }
 
     #[test]
@@ -499,7 +614,7 @@ mod tests {
             ) {
                 Ok(adm) => {
                     assert!(adm.evictions <= budget, "budget overrun: {}", adm.evictions);
-                    adm.solution.verify(&soc, &groups).unwrap();
+                    spliced(&base, &adm).verify(&soc, &groups).unwrap();
                 }
                 Err(RejectReason::Unroutable(_)) => {}
                 Err(other) => panic!("unexpected rejection {other}"),
@@ -568,7 +683,154 @@ mod tests {
         .expect("displacement should rescue the admission");
         assert!(!adm.moved.is_empty(), "no core was displaced");
         assert!((1..=budget).contains(&adm.evictions), "{}", adm.evictions);
-        adm.solution.verify(&soc, &groups).unwrap();
+        spliced(&base, &adm).verify(&soc, &groups).unwrap();
+    }
+
+    /// The certificate's boundary, on both sides of a core's NI link:
+    /// two flows filling one table exactly pass, one slot more is
+    /// refused, and a flow larger than a table on its own is left to
+    /// the mapper's capacity check.
+    #[test]
+    fn ni_link_certificate_refuses_one_slot_past_a_table() {
+        let topo = MeshBuilder::new(2, 2)
+            .nis_per_switch(2)
+            .build()
+            .unwrap()
+            .into_topology();
+        let spec = TdmaSpec::paper_default();
+        let slots = |mbps| spec.slots_for_bandwidth(Bandwidth::from_mbps(mbps));
+        // 1000 MB/s is exactly half a table; 1001 MB/s takes one slot more.
+        assert_eq!(
+            (2 * slots(1000), slots(1001)),
+            (spec.slots(), slots(1000) + 1)
+        );
+        let flows = |list: &[(u32, u32, u64)]| {
+            let mut soc = SocSpec::new("cert");
+            soc.add_use_case(uc("u", list));
+            merged_group_flows(&soc, &UseCaseGroups::singletons(1)).remove(0)
+        };
+        let check = |list: &[(u32, u32, u64)]| ni_link_overload(&topo, spec, &flows(list));
+        let refused = |core, direction| {
+            Some(RejectReason::NiLinkOversubscribed {
+                core: c(core),
+                direction,
+                needed: spec.slots() + 1,
+                available: spec.slots(),
+            })
+        };
+
+        assert_eq!(check(&[(0, 1, 1000), (0, 2, 1000)]), None);
+        assert_eq!(check(&[(1, 0, 1000), (2, 0, 1000)]), None);
+        let send = check(&[(0, 1, 1000), (0, 2, 1001)]);
+        assert_eq!(send, refused(0, NiDirection::Send));
+        assert_eq!(
+            send.unwrap().to_string(),
+            "ni-link-oversubscribed core0 send needed=129 available=128"
+        );
+        assert_eq!(
+            check(&[(1, 3, 1001), (2, 3, 1000)]),
+            refused(3, NiDirection::Receive)
+        );
+        // The first core in id order is reported, sending side first.
+        assert_eq!(
+            check(&[(0, 1, 1001), (2, 1, 1000), (1, 2, 1001), (1, 3, 1000)]),
+            refused(1, NiDirection::Send)
+        );
+        assert_eq!(check(&[(0, 1, 1000), (0, 2, 1001), (0, 3, 5000)]), None);
+
+        // Through `admit_group`: refused before any search, counted.
+        let mut soc = SocSpec::new("svc");
+        soc.add_use_case(uc("u0", &[(4, 5, 100)]));
+        let (base, options) = running_state(&soc, &topo);
+        soc.add_use_case(uc("u1", &[(0, 1, 1000), (0, 2, 1001)]));
+        let groups = UseCaseGroups::singletons(2);
+        let merged = merged_group_flows(&soc, &groups);
+        let mut cache = RouteCache::new(&merged);
+        let base = with_placeholder(&base);
+        let before = crate::perf::snapshot();
+        let err =
+            admit_group(&soc, &groups, &base, &options, 1, 6, &merged, &mut cache).unwrap_err();
+        let spent = crate::perf::snapshot().since(&before);
+        assert_eq!(Some(err), refused(0, NiDirection::Send));
+        assert_eq!((spent.rejections, spent.path_queries), (1, 0));
+    }
+
+    /// Soundness of the certificate: a group it refuses cannot be mapped
+    /// on its own under any injective placement, with latency bounds
+    /// and link faults or without.
+    #[test]
+    fn certificate_refusals_fail_under_every_placement() {
+        let spec = TdmaSpec::paper_default();
+        let (mut refused, mut mapped) = (0, 0);
+        for seed in 0..160 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let topo = MeshBuilder::new(rng.gen_range(1..=3u16), rng.gen_range(1..=3u16))
+                .nis_per_switch(rng.gen_range(1..=2u16))
+                .build()
+                .unwrap()
+                .into_topology();
+            let cores = topo.ni_count().min(6) as u32;
+            if cores < 2 {
+                continue;
+            }
+            let mut b = UseCaseBuilder::new("g");
+            let mut pairs = BTreeSet::new();
+            let wanted = rng
+                .gen_range(1..=5usize)
+                .min((cores * (cores - 1)) as usize);
+            while pairs.len() < wanted {
+                // Few sources, so that some core's flows add up.
+                let (src, dst) = (rng.gen_range(0..cores.min(3)), rng.gen_range(0..cores));
+                if src != dst && pairs.insert((src, dst)) {
+                    let latency = if rng.gen_bool(0.2) {
+                        Latency::from_ns(rng.gen_range(20..200u64))
+                    } else {
+                        Latency::UNCONSTRAINED
+                    };
+                    let mbps = rng.gen_range(100..=2000u64);
+                    b = b
+                        .flow(c(src), c(dst), Bandwidth::from_mbps(mbps), latency)
+                        .unwrap();
+                }
+            }
+            let mut soc = SocSpec::new("cert");
+            soc.add_use_case(b.build());
+            let groups = UseCaseGroups::singletons(1);
+            let merged = merged_group_flows(&soc, &groups);
+            let mut options = MapperOptions::default();
+            if rng.gen_bool(0.3) {
+                let link = topo.links()[rng.gen_range(0..topo.link_count())].id();
+                options.faults.fail_link(link);
+            }
+            let verdict = ni_link_overload(&topo, spec, &merged[0]);
+            for _ in 0..6 {
+                let mut nis = topo.nis().to_vec();
+                let placement: BTreeMap<CoreId, NodeId> = soc
+                    .cores()
+                    .into_iter()
+                    .map(|core| (core, nis.swap_remove(rng.gen_range(0..nis.len()))))
+                    .collect();
+                let preset = MapperOptions {
+                    placement: Placement::Preset(placement),
+                    ..options.clone()
+                };
+                let result = map_multi_usecase(&soc, &groups, &topo, spec, &preset);
+                if let Some(reason) = &verdict {
+                    assert!(
+                        result.is_err(),
+                        "seed {seed}: {reason}, yet a placement maps"
+                    );
+                } else {
+                    mapped += result.is_ok() as u32;
+                }
+            }
+            refused += verdict.is_some() as u32;
+        }
+        assert!(refused >= 30, "only {refused} groups refused");
+        assert!(
+            mapped >= 100,
+            "only {mapped} placements of passing groups mapped"
+        );
     }
 
     /// `displacement_step` orders targets from one BFS per mover; the

@@ -22,13 +22,13 @@
 //! A swap move relocates at most two cores, and with placement fixed
 //! each group's configuration is a pure function of its own cores' NIs
 //! (see [`reroute_preset_groups`]). The inner loop therefore re-routes
-//! **only the groups whose traffic touches a moved core**, splices the
-//! rest from the current solution, and rolls a rejected move back in
-//! place — no full re-route, no per-iteration clone of the core mapping
-//! or re-collection of the core list. Each chain owns a [`RouteCache`]
-//! seeded from the starting solution, so a move whose affected groups
-//! revisit an already-seen placement signature splices the memoized
-//! configs instead of re-routing them (`route_cache_hits` /
+//! **only the groups whose traffic touches a moved core**, splices them
+//! into a copy of the current solution, and rolls a rejected move back
+//! in place — no full re-route, no re-collection of the core list. Each
+//! chain owns a [`RouteCache`] seeded from the starting solution, so a
+//! move whose affected groups revisit an already-seen placement
+//! signature takes the memoized configs instead of re-routing them
+//! (`route_cache_hits` /
 //! `route_cache_misses` in [`crate::perf`]). The walk (RNG stream,
 //! accepted solutions, final winner) is byte-identical to the
 //! historical full-re-route implementation; `tests/perf_counters.rs`
@@ -174,8 +174,21 @@ pub fn refine(
             let mut accepted = false;
             let base = shadow.as_ref().unwrap_or(&current);
             let candidate = reroute_preset_groups(
-                soc, groups, base, options, &mapping, &affected, &merged, &mut cache,
-            );
+                soc,
+                groups,
+                base.topology(),
+                base.spec(),
+                options,
+                &mapping,
+                &affected,
+                &merged,
+                &mut cache,
+            )
+            .map(|delta| {
+                let mut candidate = base.clone();
+                candidate.splice(delta);
+                candidate
+            });
             if let Ok(candidate) = candidate {
                 let delta = candidate.comm_cost() - current.comm_cost();
                 let accept = delta <= 0.0

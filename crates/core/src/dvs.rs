@@ -18,7 +18,7 @@ use crate::design::{lowest_feasible, min_frequency};
 use crate::error::MapError;
 use crate::mapper::{reroute_preset_groups, MapperOptions, Placement, RouteCache};
 use crate::merge::merged_group_flows;
-use crate::result::{GroupConfig, MappingSolution};
+use crate::result::MappingSolution;
 
 /// Per-use-case DVS/DFS outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,25 +87,18 @@ pub fn dvs_savings(
         solution.spec().frequency(),
     )?;
 
-    // A probe's spec comes from its splice base, and a route cache's key
-    // holds no frequency, so each probe gets a base at its own frequency
-    // and a fresh cache.
+    // A route cache's key holds no frequency, so each probe gets a fresh
+    // cache.
     let merged = merged_group_flows(soc, groups);
     let group_min = |group: usize| {
         let mut active = vec![false; groups.group_count()];
         active[group] = true;
         lowest_feasible(floor, design_frequency, |f| {
-            let base = MappingSolution::new(
-                solution.topology().clone(),
-                solution.label(),
-                solution.spec().at_frequency(f),
-                solution.core_mapping().clone(),
-                vec![GroupConfig::new(); groups.group_count()],
-            );
             reroute_preset_groups(
                 soc,
                 groups,
-                &base,
+                solution.topology(),
+                solution.spec().at_frequency(f),
                 options,
                 solution.core_mapping(),
                 &active,

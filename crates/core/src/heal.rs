@@ -13,9 +13,10 @@
 //!    the [`RemapConfig`] move budget;
 //! 2. **re-routes only the affected groups** — groups whose configured
 //!    routes cross a failed resource, or whose traffic touches a moved
-//!    core, go through [`reroute_preset_groups`]; every other
-//!    group's configuration is spliced verbatim, so a heal costs a few
-//!    group routes, never a full map;
+//!    core, go through [`reroute_preset_groups`], whose delta is spliced
+//!    into a copy of the base; every other group keeps its
+//!    configuration, so a heal costs a few group routes, never a full
+//!    map;
 //! 3. **degrades instead of failing** — a group that cannot be
 //!    re-routed (or whose core cannot be re-seated within budget) is
 //!    torn down to an empty configuration and reported in
@@ -170,7 +171,8 @@ pub fn heal(
         })
         .collect();
 
-    let mut solution = if active.iter().any(|&a| a) {
+    let mut solution = base.clone();
+    if active.iter().any(|&a| a) {
         // An unroutable group degrades just that group; the retry loop
         // is deterministic because `try_par_map` reports the
         // smallest-index error, and bounded by the group count. The
@@ -179,9 +181,20 @@ pub fn heal(
         let mut cache = RouteCache::new(&merged);
         loop {
             match reroute_preset_groups(
-                soc, groups, base, options, &placement, &active, &merged, &mut cache,
+                soc,
+                groups,
+                topo,
+                base.spec(),
+                options,
+                &placement,
+                &active,
+                &merged,
+                &mut cache,
             ) {
-                Ok(sol) => break sol,
+                Ok(delta) => {
+                    solution.splice(delta);
+                    break;
+                }
                 Err(MapError::Unroutable { group, .. }) if active[group] => {
                     active[group] = false;
                     degraded_groups.insert(group);
@@ -190,14 +203,8 @@ pub fn heal(
             }
         }
     } else {
-        MappingSolution::new(
-            topo.clone(),
-            base.label(),
-            base.spec(),
-            placement,
-            base.group_configs().to_vec(),
-        )
-    };
+        *solution.core_mapping_mut() = placement;
+    }
     let rerouted = active.iter().filter(|&&a| a).count() as u64;
     count(Counter::HealReroutes, rerouted);
     count(Counter::HealEvictions, moved.len() as u64);

@@ -74,13 +74,13 @@ pub mod wc;
 mod error;
 mod seat;
 
-pub use admit::{admit_group, Admission, RejectReason};
+pub use admit::{admit_group, Admission, NiDirection, RejectReason};
 pub use error::MapError;
 pub use heal::{heal, HealOutcome};
 pub use mapper::{
     map_multi_usecase, reroute_preset_groups, CachedGroup, MapperOptions, Placement, RouteCache,
 };
 pub use merge::{merged_flows, merged_group_flows};
-pub use result::{GroupConfig, MappingSolution, Route};
+pub use result::{GroupConfig, MappingSolution, Route, SolutionDelta};
 pub use strategy::{design_with_strategy, StrategyKind, StrategyOutcome};
 pub use verify::VerifyError;

@@ -15,7 +15,7 @@ use noc_usecase::UseCaseGroups;
 use crate::error::MapError;
 use crate::merge::{merged_group_flows, MergedFlow};
 use crate::path::{PathQuery, PathScratch, Target};
-use crate::result::{GroupConfig, MappingSolution, Route};
+use crate::result::{GroupConfig, MappingSolution, Route, SolutionDelta};
 
 /// How cores are placed onto NIs.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -873,23 +873,25 @@ pub fn map_multi_usecase(
 
 /// Delta re-route for placement moves: re-routes only the groups marked
 /// in `affected` under `placement` (which must place **every** core, as
-/// annealing moves do), splicing the configs of untouched groups
-/// verbatim from `base`. An affected group whose placement signature
-/// `cache` holds is spliced from the cache (`route_cache_hits`) instead
+/// annealing moves do) on `topo` at `spec`, and returns what it
+/// computed as a [`SolutionDelta`]: the placement plus the configs of
+/// the affected groups. An affected group whose placement signature
+/// `cache` holds is taken from the cache (`route_cache_hits`) instead
 /// of being re-routed; a re-routed group is cached under its signature
 /// (`route_cache_misses`).
 ///
-/// Byte-identical to a full [`map_multi_usecase`] with
-/// [`Placement::Preset`] because, with placement fixed up front, each
-/// group's configuration is a pure function of its own cores' NIs and
-/// of the demands on its pairs: pair processing order is
+/// Spliced ([`MappingSolution::splice`]) into a solution whose configs
+/// equal a full preset re-route of its own placement ([`preset_twin`]),
+/// the delta gives exactly what a full [`map_multi_usecase`] with
+/// [`Placement::Preset`] gives, because, with placement fixed up front,
+/// each group's configuration is a pure function of its own cores' NIs
+/// and of the demands on its pairs: pair processing order is
 /// placement-independent, slot state and connection ids are
 /// group-private, and unmapped-endpoint logic never fires. The
 /// annealer leans on this to evaluate a two-core swap by re-routing only
-/// the groups whose traffic touches either core — `base` **must** carry
-/// per-group configs equal to a full preset re-route of its own
-/// placement ([`preset_twin`]), which holds for any solution this
-/// function or a preset [`map_multi_usecase`] produced.
+/// the groups whose traffic touches either core. Any solution spliced
+/// from such a delta, or made by a preset [`map_multi_usecase`], is
+/// again a valid splice base.
 ///
 /// `options.placement` is ignored; the borrowed `placement` wins.
 /// `merged` must be `merged_group_flows(soc, groups)`, precomputed by
@@ -897,7 +899,7 @@ pub fn map_multi_usecase(
 /// move does not re-merge every flow of every group. `cache` must have
 /// been built for the same `merged`, topology, TDMA spec and options;
 /// callers keep one across calls, so a move that revisits a placement
-/// splices what an earlier call routed.
+/// reuses what an earlier call routed.
 ///
 /// Under faults, a call one of whose pairs has an NI that cannot send or
 /// cannot receive over any surviving link fails with the error the full
@@ -916,13 +918,14 @@ pub fn map_multi_usecase(
 pub fn reroute_preset_groups(
     soc: &SocSpec,
     groups: &UseCaseGroups,
-    base: &MappingSolution,
+    topo: &Topology,
+    spec: TdmaSpec,
     options: &MapperOptions,
     placement: &BTreeMap<CoreId, NodeId>,
     affected: &[bool],
     merged: &[BTreeMap<(CoreId, CoreId), MergedFlow>],
     cache: &mut RouteCache,
-) -> Result<MappingSolution, MapError> {
+) -> Result<SolutionDelta, MapError> {
     assert_eq!(
         affected.len(),
         groups.group_count(),
@@ -933,7 +936,7 @@ pub fn reroute_preset_groups(
         groups.group_count(),
         "cache built for this partition"
     );
-    // Split the affected set into cache hits (spliced below) and the
+    // Split the affected set into cache hits (taken below) and the
     // groups to route, whose configs are cached after the run.
     let mut to_route = vec![false; affected.len()];
     let mut hits: Vec<(usize, Vec<NodeId>)> = Vec::new();
@@ -954,14 +957,12 @@ pub fn reroute_preset_groups(
     count(Counter::RouteCacheMisses, misses.len() as u64);
     count(Counter::GroupsRerouted, rerouted);
     count(Counter::GroupsReused, affected.len() as u64 - rerouted);
-    let topo = base.topology();
-    let spec = base.spec();
     let mode = MapMode::Delta {
         placement,
         active: &to_route,
         proven: &mut cache.proven,
     };
-    let (core_to_ni, mut configs) = run_mapping(soc, groups, topo, spec, options, merged, mode)?;
+    let (placement, mut configs) = run_mapping(soc, groups, topo, spec, options, merged, mode)?;
     for (g, sig) in misses {
         let config = configs[g].clone().expect("routed groups have configs");
         cache.groups[g].configs.insert(sig, config);
@@ -969,24 +970,21 @@ pub fn reroute_preset_groups(
     for (g, sig) in hits {
         configs[g] = Some(cache.groups[g].configs[&sig].clone());
     }
-    Ok(MappingSolution::new(
-        topo.clone(),
-        format!("{}sw", topo.switch_count()),
-        spec,
-        core_to_ni,
-        configs
+    Ok(SolutionDelta {
+        placement,
+        configs: configs
             .into_iter()
             .enumerate()
-            .map(|(g, c)| c.unwrap_or_else(|| base.group_configs()[g].clone()))
+            .filter_map(|(g, c)| c.map(|c| (g, c)))
             .collect(),
-    ))
+    })
 }
 
 /// The preset-pure twin of `solution`: the same placement fully
 /// re-routed with [`Placement::Preset`] on the same topology and TDMA
-/// spec. Only such a solution may be the splice base of
-/// [`reroute_preset_groups`] or seed a [`RouteCache`]; a unified map's
-/// configs come from its placement pass and may differ.
+/// spec. Only such a solution may take a [`reroute_preset_groups`]
+/// delta ([`MappingSolution::splice`]) or seed a [`RouteCache`]; a
+/// unified map's configs come from its placement pass and may differ.
 ///
 /// # Errors
 ///
@@ -1687,8 +1685,21 @@ mod tests {
                     .collect();
                 let picks = checked_picks();
                 let delta = reroute_preset_groups(
-                    &soc, &groups, &current, &options, &placement, &affected, &merged, &mut cache,
-                );
+                    &soc,
+                    &groups,
+                    m.topology(),
+                    spec,
+                    &options,
+                    &placement,
+                    &affected,
+                    &merged,
+                    &mut cache,
+                )
+                .map(|delta| {
+                    let mut spliced = current.clone();
+                    spliced.splice(delta);
+                    spliced
+                });
                 assert!(checked_picks() > picks, "seed {seed}: no pick was checked");
                 let full =
                     map_multi_usecase(&soc, &groups, m.topology(), spec, &preset(&placement));
@@ -1762,13 +1773,6 @@ mod tests {
                 let link = topo.links()[rng.gen_range(0..topo.link_count())].id();
                 options.faults.fail_link(link);
             }
-            let base = MappingSolution::new(
-                topo.clone(),
-                "base".to_string(),
-                spec,
-                placement.clone(),
-                vec![GroupConfig::new(); groups.group_count()],
-            );
             let (mut fast_cache, mut full_cache) =
                 (RouteCache::new(&merged), RouteCache::new(&merged));
             // Several re-routes on one cache: a core moves between them,
@@ -1791,7 +1795,7 @@ mod tests {
                     .collect();
                 let reroute = |cache: &mut RouteCache| {
                     reroute_preset_groups(
-                        &soc, &groups, &base, &options, &moved, &affected, &merged, cache,
+                        &soc, &groups, topo, spec, &options, &moved, &affected, &merged, cache,
                     )
                 };
                 let fast = reroute(&mut fast_cache);

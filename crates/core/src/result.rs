@@ -76,6 +76,28 @@ impl GroupConfig {
     pub fn is_empty(&self) -> bool {
         self.routes.is_empty()
     }
+
+    /// `Σ bandwidth × hops` over the configured routes, in exact
+    /// bytes/s·hops (see [`MappingSolution::comm_cost_bytes_hops`]).
+    pub fn cost_bytes_hops(&self) -> u128 {
+        self.routes
+            .values()
+            .map(|r| r.bandwidth.as_bytes_per_sec() as u128 * r.hops() as u128)
+            .sum()
+    }
+}
+
+/// What a delta re-route ([`crate::reroute_preset_groups`]) computed:
+/// the placement it ran on, and the configs of the groups it routed or
+/// took from its cache. Every other group keeps its config;
+/// [`MappingSolution::splice`] writes the delta into the solution the
+/// re-route was made against.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SolutionDelta {
+    /// The full core → NI placement of the re-route.
+    pub placement: BTreeMap<CoreId, NodeId>,
+    /// `(group, config)` per re-routed group, by ascending group.
+    pub configs: Vec<(usize, GroupConfig)>,
 }
 
 /// A complete multi-use-case mapping: the outcome of Algorithm 2.
@@ -231,9 +253,22 @@ impl MappingSolution {
     pub fn comm_cost_bytes_hops(&self) -> u128 {
         self.group_configs
             .iter()
-            .flat_map(|g| g.iter())
-            .map(|(_, r)| r.bandwidth.as_bytes_per_sec() as u128 * r.hops() as u128)
+            .map(GroupConfig::cost_bytes_hops)
             .sum()
+    }
+
+    /// Writes `delta` into this solution in place: its placement
+    /// replaces the core → NI assignment, and each of its configs
+    /// replaces that group's config. Every other group's config stays.
+    ///
+    /// # Panics
+    ///
+    /// When a config's group is out of range.
+    pub fn splice(&mut self, delta: SolutionDelta) {
+        self.core_to_ni = delta.placement;
+        for (group, config) in delta.configs {
+            self.group_configs[group] = config;
+        }
     }
 
     /// Re-validates the whole solution against the spec and partition.

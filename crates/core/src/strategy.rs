@@ -23,8 +23,11 @@
 //!
 //! Candidate placements are routed through [`reroute_preset_groups`]
 //! and its [`RouteCache`], so a group whose placement
-//! signature was already routed is spliced from the cache
-//! (`route_cache_hits` in [`crate::perf`]) instead of re-routed.
+//! signature was already routed is taken from the cache
+//! (`route_cache_hits` in [`crate::perf`]) instead of re-routed. A move
+//! is priced exactly from the delta alone (the current cost, minus the
+//! replaced configs' cost, plus the new configs' cost), and only an
+//! improving move is spliced into the current solution.
 //! Everything is a pure function of its inputs — no RNG, no wall clock —
 //! so strategy outputs are byte-identical at any `noc-par` width
 //! (`tests/parallel_determinism.rs`) and the `frontier` suite's table is
@@ -164,6 +167,7 @@ fn displacement_search(
     let budget = displacement_eviction_budget();
     let mut evictions: u64 = 0;
     let mut current = rerouted;
+    let mut cost = current.comm_cost_bytes_hops();
     let mut mapping = current.core_mapping().clone();
 
     'search: for _round in 0..rounds {
@@ -182,14 +186,32 @@ fn displacement_search(
                 }
                 swap(&mut mapping, a, target);
                 let affected = groups_touching(&merged, |c| c == a || Some(c) == evicted);
-                let candidate = reroute_preset_groups(
-                    soc, groups, &current, options, &mapping, &affected, &merged, &mut cache,
+                let delta = reroute_preset_groups(
+                    soc,
+                    groups,
+                    current.topology(),
+                    current.spec(),
+                    options,
+                    &mapping,
+                    &affected,
+                    &merged,
+                    &mut cache,
                 );
-                match candidate {
-                    Ok(candidate)
-                        if candidate.comm_cost_bytes_hops() < current.comm_cost_bytes_hops() =>
-                    {
-                        current = candidate;
+                // The move's exact cost: the current cost with the
+                // re-routed groups' configs replaced.
+                let priced = delta.map(|delta| {
+                    let replaced: u128 = delta
+                        .configs
+                        .iter()
+                        .map(|(g, _)| current.group_config(*g).cost_bytes_hops())
+                        .sum();
+                    let added: u128 = delta.configs.iter().map(|(_, c)| c.cost_bytes_hops()).sum();
+                    (cost - replaced + added, delta)
+                });
+                match priced {
+                    Ok((moved_cost, delta)) if moved_cost < cost => {
+                        current.splice(delta);
+                        cost = moved_cost;
                         improved = true;
                         if evicted.is_some() {
                             evictions += 1;
@@ -207,7 +229,7 @@ fn displacement_search(
         }
     }
 
-    let solution = if greedy.comm_cost_bytes_hops() <= current.comm_cost_bytes_hops() {
+    let solution = if greedy.comm_cost_bytes_hops() <= cost {
         greedy
     } else {
         current

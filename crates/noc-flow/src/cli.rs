@@ -1,11 +1,13 @@
-//! Argument helpers shared by the `experiments` and `nocmap_cli`
-//! binaries.
+//! Argument and output helpers shared by the `experiments` and
+//! `nocmap_cli` binaries.
 //!
 //! Both tools use the same hand-rolled option scanning (no external
 //! argument parser in this offline workspace); these helpers used to be
 //! copy-pasted into each binary and now live here once, with tests.
 //! Every helper removes the options it consumed from `args`, so
-//! whatever remains is positional.
+//! whatever remains is positional. Both binaries print through
+//! [`out!`](crate::out) and [`outln!`](crate::outln), so a reader that
+//! stops early (`nocmap_cli … | head`) ends them quietly.
 
 use crate::FlowError;
 
@@ -152,6 +154,36 @@ pub fn write_trace(request: &TraceRequest, trace: &noc_obs::Trace) -> Result<(),
         path: request.path.clone(),
         message: format!("cannot write trace: {e}"),
     })
+}
+
+/// Writes `args` to stdout. When the reader has closed the pipe
+/// (`… | head -1`), the process exits at once with status 0 and
+/// nothing on stderr; any other write error panics, as `print!` does.
+pub fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
+/// `print!` through [`write_stdout`]: a closed stdout ends the process
+/// quietly instead of panicking.
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::cli::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::cli::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
 }
 
 #[cfg(test)]

@@ -11,8 +11,9 @@
 //!
 //! Admission ([`AdmitMode::Incremental`], the default) goes through
 //! [`nocmap::admit_group`]: greedy placement on free NIs, one group
-//! route (everything else spliced from the running solution), and
-//! displacement under the eviction budget on conflict. The engine keeps
+//! route (every other group keeps its config), and displacement under
+//! the eviction budget on conflict. The admission's delta is spliced
+//! into the running solution in place. The engine keeps
 //! its state — the admitted use-cases, their merged flows, one
 //! [`RouteCache`] row per use-case and the running solution — alive
 //! across requests and edits it one use-case at a time, so an admission
@@ -782,7 +783,7 @@ impl Engine {
             &mut self.cache,
         ) {
             Ok(adm) => {
-                self.solution = adm.solution;
+                self.solution.splice(adm.delta);
                 Ok((
                     self.solution.comm_cost_bytes_hops(),
                     adm.placed.len(),

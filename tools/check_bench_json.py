@@ -6,9 +6,11 @@ Usage:
 
 With one file: validates the schema (top-level keys, per-run and
 per-suite fields, op-counter keys). With two files: additionally asserts
-that the *deterministic* fields of the two files' latest run records are
-identical — CI passes records produced at ``--threads 1`` and ``4``, so
-any divergence is a determinism-contract violation. Wall-time fields
+that both trajectories hold the same run labels and that the
+*deterministic* fields of every pair of same-label records are
+identical — CI passes trajectories in which one record was regenerated
+at ``--threads 1`` and ``4``, so any divergence is a
+determinism-contract violation. Wall-time fields
 (``map_ms`` / ``anneal_ms`` / ``trace_ms``) are machine-dependent and
 excluded. Frontier records (``"frontier"`` instead of ``"suites"``),
 service records (``"service"``) and resilience records
@@ -168,14 +170,24 @@ def main(argv):
     for path in argv[1:]:
         print(f"{path}: schema OK")
     if len(docs) == 2:
-        a, b = (deterministic(d["trajectory"][-1]) for d in docs)
-        if a != b:
-            print("FAIL: deterministic fields differ between the two records")
-            for sa, sb in zip(a, b):
-                if sa != sb:
-                    print(f"  suite {sa['label']}: {sa} != {sb}")
+        a, b = ({run["label"]: run for run in d["trajectory"]} for d in docs)
+        if a.keys() != b.keys():
+            print(f"FAIL: run labels differ: {sorted(a)} != {sorted(b)}")
             return 1
-        print(f"deterministic fields identical across {len(a)} suites")
+        failed = False
+        for label in a:
+            ra, rb = deterministic(a[label]), deterministic(b[label])
+            if ra != rb:
+                failed = True
+                print(f"FAIL: record '{label}': deterministic fields differ")
+                for sa, sb in zip(ra, rb):
+                    if sa != sb:
+                        print(f"  {sa} != {sb}")
+                if len(ra) != len(rb):
+                    print(f"  {len(ra)} rows != {len(rb)} rows")
+        if failed:
+            return 1
+        print(f"deterministic fields identical across {len(a)} records")
     return 0
 
 
