@@ -8,9 +8,13 @@
 //! # run the design flow on a spec file
 //! cargo run --release -p noc-bench --bin nocmap_cli -- design d1.spec --freq 500 --emit d1.cfg
 //!
-//! # run a declared experiment or flow config (see docs/PIPELINE.md)
+//! # run suites (registry names or spec files; see docs/PIPELINE.md)
 //! cargo run --release -p noc-bench --bin nocmap_cli -- flow run specs/flow_be_burst.flow
-//! cargo run --release -p noc-bench --bin nocmap_cli -- flow run fig6a
+//! cargo run --release -p noc-bench --bin nocmap_cli -- flow run fig6a fig7b
+//! cargo run --release -p noc-bench --bin nocmap_cli -- flow run all
+//!
+//! # write one suite's record into the BENCH trajectory
+//! cargo run --release -p noc-bench --bin nocmap_cli -- flow run frontier --json BENCH_nocmap.json --label pr8
 //! ```
 //!
 //! Subcommands:
@@ -24,28 +28,21 @@
 //!   analytic report, optionally emit the configuration artifact. The
 //!   optional `--strategy` picks a mapping strategy from the
 //!   `nocmap::strategy` portfolio (see `docs/STRATEGIES.md`).
-//! * `flow run {FILE|NAME} [--spec SOCFILE]` — execute an experiment
-//!   spec (a registry name, or a file in the `noc-flow` text format) via
-//!   the generic runner; a `flow NAME` config file instead runs its
-//!   stage list on the SoC spec given with `--spec`.
+//! * `flow run {FILE|NAME|all}... [--spec SOCFILE] [--json FILE]
+//!   [--label L]` — execute experiment specs (registry names, or files
+//!   in the `noc-flow` text format) in order via the generic runner and
+//!   print each suite's table; `all` stands for the paper's suites
+//!   (`noc_flow::registry::ALL`). A suite that fails prints
+//!   `{name} failed: {error}` in place of its table, the rest still
+//!   run, and the exit status is 1. A `flow NAME` config file instead
+//!   runs its stage list on the SoC spec given with `--spec`. With
+//!   `--json`, the one named suite's table is also written as a run
+//!   record labelled L (default `local`) into the `BENCH_nocmap.json`
+//!   trajectory at FILE, replacing a record with the same label (see
+//!   `docs/PERFORMANCE.md`); the note saying so goes to stderr.
 //! * `flow list` — list the registered experiments.
 //! * `flow show NAME` — print a registry entry as a spec file (the
 //!   format `flow run` accepts).
-//! * `be-burst` — the best-effort burstiness × hop-count contention
-//!   sweep (identical output to `experiments -- be_burst`; the
-//!   simulation model is documented in `docs/SIMULATION.md`).
-//! * `perf [--json FILE] [--label L]` — the perf-telemetry suite: map +
-//!   anneal each standard benchmark, print the op-counter table, and
-//!   (with `--json`) append a run record to the `BENCH_nocmap.json`
-//!   trajectory (see `docs/PERFORMANCE.md`). The op-count fields are
-//!   deterministic at any `--threads` setting; only wall times vary.
-//! * `frontier [--json FILE] [--label L]` — the strategy-portfolio
-//!   frontier suite: map every standard benchmark with each strategy
-//!   (greedy, displacement local search), print the
-//!   quality-vs-ops table, and (with `--json`) append a frontier record
-//!   to the trajectory. Every cell is deterministic — the record is
-//!   byte-identical at any `--threads` setting (see
-//!   `docs/STRATEGIES.md`).
 //! * `serve [--port P] [--rows R] [--cols C] [--nis N] [--batch B]
 //!   [--budget M] [--mode incremental|resolve] [--journal FILE]` — run
 //!   the `nocd` online mapping daemon: a TCP line-protocol server
@@ -67,16 +64,6 @@
 //!   the final admission report, and (with `--transcript`) the full
 //!   request/response transcript — byte-identical at any `--threads`
 //!   setting.
-//! * `service [--json FILE] [--label L]` — the online-admission suite:
-//!   replay the `service` registry trace per fabric × admission mode,
-//!   print the blocking/reconfiguration-cost table, and (with `--json`)
-//!   append a service record to the trajectory. Every cell is
-//!   deterministic (see `docs/SERVICE.md`).
-//! * `resilience [--json FILE] [--label L]` — the fault-injection
-//!   suite: weave a seeded fault schedule into the request trace,
-//!   replay it per fabric, print the degradation/self-healing table,
-//!   and (with `--json`) append a resilience record to the trajectory.
-//!   Every cell is deterministic (see `docs/RESILIENCE.md`).
 //!
 //! All subcommands accept a global `--threads N` to pin the `noc-par`
 //! worker count (equivalent to `NOC_PAR_THREADS=N`; results are
@@ -99,7 +86,8 @@ use noc_flow::cli::{
     take_flag, take_num, take_opt, take_string, take_threads, take_trace, write_trace,
 };
 use noc_flow::config::{experiment_to_text, spec_from_text, FlowConfig, SpecFile, StageConfig};
-use noc_flow::{out, outln, registry, render, run_spec, FlowError};
+use noc_flow::render::render;
+use noc_flow::{out, outln, perf_json, registry, run_spec, ExperimentSpec, FlowError};
 use noc_usecase::spec::SocSpec;
 use noc_usecase::UseCaseGroups;
 use nocmap::emit::emit_text;
@@ -111,17 +99,13 @@ fn usage() -> ExitCode {
         "usage:\n  nocmap_cli gen {{d1|d2|d3|d4|sp|bot}} [--use-cases N] [--seed S]\n  \
          nocmap_cli design SPEC [--freq MHZ] [--slots N] [--max-switches N] [--wc] \
          [--anneal ITERxCHAINS] [--strategy greedy|displacement] [--emit FILE]\n  \
-         nocmap_cli flow {{run FILE|NAME [--spec SOCFILE] | list | show NAME}}\n  \
-         nocmap_cli be-burst\n  \
-         nocmap_cli perf [--json FILE] [--label L]\n  \
-         nocmap_cli frontier [--json FILE] [--label L]\n  \
+         nocmap_cli flow {{run FILE|NAME|all... [--spec SOCFILE] [--json FILE] [--label L] \
+         | list | show NAME}}\n  \
          nocmap_cli serve [--port P] [--rows R] [--cols C] [--nis N] [--batch B] \
          [--budget M] [--mode incremental|resolve] [--journal FILE]\n  \
          nocmap_cli request --port P [--timeout-ms T] [--retries R] WORD...\n  \
          nocmap_cli replay [--requests N] [--seed S] [--rows R] [--cols C] [--nis N] \
          [--batch B] [--budget M] [--mode incremental|resolve] [--transcript]\n  \
-         nocmap_cli service [--json FILE] [--label L]\n  \
-         nocmap_cli resilience [--json FILE] [--label L]\n  \
          (global: --threads N — pin the noc-par worker count;\n  \
           --trace FILE [--trace-mode ops|wall] — record a span trace)"
     );
@@ -260,9 +244,13 @@ fn cmd_design(mut args: Vec<String>) -> Result<(), FlowError> {
     Ok(())
 }
 
-/// Prints a flow-config run: the stage trace, the analytic report, and
-/// summaries of whatever artifacts the stages produced.
-fn print_flow_outcome(ctx: &noc_flow::FlowContext) -> Result<(), FlowError> {
+/// Runs a flow config on the SoC spec at `soc_path` and prints the
+/// stage trace, the analytic report, and summaries of whatever
+/// artifacts the stages produced.
+fn run_config(config: &FlowConfig, soc_path: &str) -> Result<(), FlowError> {
+    let soc = read_soc(soc_path)?;
+    let groups = UseCaseGroups::singletons(soc.use_case_count());
+    let ctx = config.build().run(&soc, &groups)?;
     outln!("flow: {}", ctx.trace.join(" -> "));
     let solution = ctx.solution()?;
     outln!("{}", SolutionReport::analyze(solution));
@@ -318,51 +306,45 @@ fn cmd_flow(mut args: Vec<String>) -> Result<(), FlowError> {
             Ok(())
         }
         "run" => {
-            let target = args.get(1).ok_or_else(|| {
-                FlowError::Usage("flow run needs a file or experiment name".into())
-            })?;
-            // An existing file (noc-flow text format) wins over a
-            // registry name of the same spelling, so a local spec can
-            // never be shadowed by a built-in experiment.
-            let file = if std::path::Path::new(target).exists() {
-                let text = std::fs::read_to_string(target).map_err(|e| FlowError::Io {
-                    path: target.clone(),
-                    message: format!("cannot read: {e}"),
-                })?;
-                spec_from_text(&text)?
-            } else {
-                SpecFile::Experiment(registry::find(target).map_err(|_| {
-                    FlowError::Usage(format!(
-                        "'{target}' is neither a spec file nor a registered experiment \
-                         (see 'flow list')"
-                    ))
-                })?)
-            };
-            match file {
-                SpecFile::Experiment(spec) => {
-                    if soc_path.is_some() {
-                        return Err(FlowError::Usage(
-                            "--spec only applies to 'flow NAME' config documents; an \
-                             experiment spec declares its own benchmarks"
-                                .into(),
-                        ));
-                    }
-                    let output = run_spec(&spec)?;
-                    out!("{}", render::render(&output));
-                    Ok(())
-                }
-                SpecFile::Flow(config) => {
-                    let soc_path = soc_path.ok_or_else(|| {
-                        FlowError::Usage(
-                            "running a flow config needs --spec SOCFILE (the design input)".into(),
-                        )
-                    })?;
-                    let soc = read_soc(&soc_path)?;
-                    let groups = UseCaseGroups::singletons(soc.use_case_count());
-                    let ctx = config.build().run(&soc, &groups)?;
-                    print_flow_outcome(&ctx)
+            let json = take_string(&mut args, "--json")?;
+            let label = take_string(&mut args, "--label")?.unwrap_or_else(|| "local".into());
+            let mut targets = Vec::new();
+            for target in &args[1..] {
+                match target.as_str() {
+                    "all" => targets.extend(registry::ALL.map(String::from)),
+                    _ => targets.push(target.clone()),
                 }
             }
+            if targets.is_empty() {
+                return Err(FlowError::Usage(
+                    "flow run needs a file or experiment name".into(),
+                ));
+            }
+            if json.is_some() && targets.len() != 1 {
+                return Err(FlowError::Usage(
+                    "--json writes one suite's record: name exactly one suite".into(),
+                ));
+            }
+            // Resolve every target before running any, so a typo in the
+            // last name fails at once.
+            let files = targets
+                .iter()
+                .map(|t| load_target(t, soc_path.is_some(), json.is_some()))
+                .collect::<Result<Vec<_>, _>>()?;
+            let mut first_error = None;
+            for (target, file) in targets.iter().zip(files) {
+                let ran = match file {
+                    SpecFile::Experiment(spec) => run_suite(&spec, json.as_deref(), &label),
+                    SpecFile::Flow(config) => {
+                        run_config(&config, soc_path.as_deref().unwrap_or_default())
+                    }
+                };
+                if let Err(e) = ran {
+                    outln!("{target} failed: {e}");
+                    first_error.get_or_insert(e);
+                }
+            }
+            first_error.map_or(Ok(()), Err)
         }
         other => Err(FlowError::Usage(format!(
             "unknown flow subcommand '{other}'"
@@ -370,42 +352,59 @@ fn cmd_flow(mut args: Vec<String>) -> Result<(), FlowError> {
     }
 }
 
-/// Writes a `kind` run record into the trajectory at `path` and says
-/// whether it replaced the record labelled `label` or was appended.
-fn save_record(kind: &str, label: &str, path: &str, record: &str) -> Result<(), FlowError> {
-    let written =
-        noc_bench::perf_json::append_run(std::path::Path::new(path), record).map_err(|e| {
-            FlowError::Io {
-                path: path.to_string(),
-                message: format!("cannot write trajectory: {e}"),
-            }
+/// Resolves one `flow run` target: an existing file (noc-flow text
+/// format) wins over a registry name of the same spelling, so a local
+/// spec can never be shadowed by a built-in experiment. `--spec` must
+/// be given exactly for `flow NAME` config documents, and `--json`
+/// only records experiments.
+fn load_target(target: &str, soc_given: bool, json: bool) -> Result<SpecFile, FlowError> {
+    let file = if std::path::Path::new(target).exists() {
+        let text = std::fs::read_to_string(target).map_err(|e| FlowError::Io {
+            path: target.to_string(),
+            message: format!("cannot read: {e}"),
         })?;
-    outln!("{kind} record '{label}' {written} {path}");
-    Ok(())
+        spec_from_text(&text)?
+    } else {
+        SpecFile::Experiment(registry::find(target).map_err(|_| {
+            FlowError::Usage(format!(
+                "'{target}' is neither a spec file nor a registered experiment (see 'flow list')"
+            ))
+        })?)
+    };
+    match (&file, soc_given) {
+        (SpecFile::Experiment(_), true) => Err(FlowError::Usage(
+            "--spec only applies to 'flow NAME' config documents; an experiment spec \
+             declares its own benchmarks"
+                .into(),
+        )),
+        (SpecFile::Flow(_), false) => Err(FlowError::Usage(
+            "running a flow config needs --spec SOCFILE (the design input)".into(),
+        )),
+        (SpecFile::Flow(_), true) if json => Err(FlowError::Usage(
+            "--json records an experiment's table, not a flow config run".into(),
+        )),
+        _ => Ok(file),
+    }
 }
 
-fn cmd_perf(mut args: Vec<String>) -> Result<(), FlowError> {
-    let json_path = take_string(&mut args, "--json")?;
-    let label = take_string(&mut args, "--label")?.unwrap_or_else(|| "local".to_string());
-    let points = noc_bench::perf();
-    out!("{}", noc_bench::format_perf(&points));
-    if let Some(path) = json_path {
-        let record = noc_bench::perf_json::run_record(&label, noc_par::current_threads(), &points);
-        save_record("perf", &label, &path, &record)?;
-    }
-    Ok(())
-}
-
-fn cmd_frontier(mut args: Vec<String>) -> Result<(), FlowError> {
-    let json_path = take_string(&mut args, "--json")?;
-    let label = take_string(&mut args, "--label")?.unwrap_or_else(|| "local".to_string());
-    let points = noc_bench::frontier()?;
-    out!("{}", noc_bench::format_frontier(&points));
-    if let Some(path) = json_path {
-        let record =
-            noc_bench::perf_json::frontier_record(&label, noc_par::current_threads(), &points);
-        save_record("frontier", &label, &path, &record)?;
-    }
+/// Runs one experiment and prints its table; with `json`, also writes
+/// the table as the run record `label` into the trajectory at that
+/// path, and says on stderr whether it replaced the record with that
+/// label or was appended.
+fn run_suite(spec: &ExperimentSpec, json: Option<&str>, label: &str) -> Result<(), FlowError> {
+    let table = run_spec(spec)?;
+    out!("{}", render(&table));
+    let Some(path) = json else {
+        return Ok(());
+    };
+    let suite = &spec.name;
+    let record = perf_json::record(label, suite, noc_par::current_threads(), &table);
+    let written =
+        perf_json::append_run(std::path::Path::new(path), &record).map_err(|e| FlowError::Io {
+            path: path.to_string(),
+            message: format!("cannot write trajectory: {e}"),
+        })?;
+    eprintln!("{suite} record '{label}' {written} {path}");
     Ok(())
 }
 
@@ -512,32 +511,6 @@ fn cmd_replay(mut args: Vec<String>) -> Result<(), FlowError> {
     Ok(())
 }
 
-fn cmd_service(mut args: Vec<String>) -> Result<(), FlowError> {
-    let json_path = take_string(&mut args, "--json")?;
-    let label = take_string(&mut args, "--label")?.unwrap_or_else(|| "local".to_string());
-    let points = noc_bench::service()?;
-    out!("{}", noc_bench::format_service(&points));
-    if let Some(path) = json_path {
-        let record =
-            noc_bench::perf_json::service_record(&label, noc_par::current_threads(), &points);
-        save_record("service", &label, &path, &record)?;
-    }
-    Ok(())
-}
-
-fn cmd_resilience(mut args: Vec<String>) -> Result<(), FlowError> {
-    let json_path = take_string(&mut args, "--json")?;
-    let label = take_string(&mut args, "--label")?.unwrap_or_else(|| "local".to_string());
-    let points = noc_bench::resilience()?;
-    out!("{}", noc_bench::format_resilience(&points));
-    if let Some(path) = json_path {
-        let record =
-            noc_bench::perf_json::resilience_record(&label, noc_par::current_threads(), &points);
-        save_record("resilience", &label, &path, &record)?;
-    }
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let threads = match take_threads(&mut args) {
@@ -565,17 +538,9 @@ fn main() -> ExitCode {
         "gen" => Some(cmd_gen(args)),
         "design" => Some(cmd_design(args)),
         "flow" => Some(cmd_flow(args)),
-        "be-burst" | "be_burst" => {
-            out!("{}", noc_bench::format_be_burst(&noc_bench::be_burst()));
-            Some(Ok(()))
-        }
-        "perf" => Some(cmd_perf(args)),
-        "frontier" => Some(cmd_frontier(args)),
         "serve" => Some(cmd_serve(args)),
         "request" => Some(cmd_request(args)),
         "replay" => Some(cmd_replay(args)),
-        "service" => Some(cmd_service(args)),
-        "resilience" => Some(cmd_resilience(args)),
         _ => None,
     };
     let result = match threads {

@@ -1,10 +1,10 @@
-//! End-to-end byte-identity tests for both CLI binaries.
+//! End-to-end byte-identity tests for the `nocmap_cli` binary.
 //!
 //! The library-level golden tests (`tests/flow_goldens.rs` at the
-//! workspace root) pin the renderers; these spawn the **actual
-//! binaries** so argument plumbing, registry lookup, `--threads`
-//! handling and stdout wiring are covered too. Goldens are the
-//! pre-redesign captures under `tests/goldens/`.
+//! workspace root) pin the renderer; these spawn the **actual
+//! binary** so argument plumbing, registry lookup, `--threads`
+//! handling, record writing and stdout wiring are covered too. Goldens
+//! are the captures under `tests/goldens/`.
 
 use std::path::Path;
 use std::process::Command;
@@ -31,10 +31,10 @@ fn run(bin: &str, args: &[&str]) -> String {
 }
 
 #[test]
-fn experiments_binary_matches_goldens() {
+fn flow_run_matches_goldens() {
     let out = run(
-        env!("CARGO_BIN_EXE_experiments"),
-        &["fig6a", "ablation", "be_burst"],
+        env!("CARGO_BIN_EXE_nocmap_cli"),
+        &["flow", "run", "fig6a", "ablation", "be_burst"],
     );
     let expected = format!(
         "{}{}{}",
@@ -46,19 +46,74 @@ fn experiments_binary_matches_goldens() {
 }
 
 #[test]
-fn experiments_binary_is_identical_at_4_threads() {
+fn flow_run_is_identical_at_4_threads() {
     let out = run(
-        env!("CARGO_BIN_EXE_experiments"),
-        &["--threads", "4", "fig6a", "be_burst"],
+        env!("CARGO_BIN_EXE_nocmap_cli"),
+        &["--threads", "4", "flow", "run", "fig6a", "be_burst"],
     );
     let expected = format!("{}{}", golden("fig6a.txt"), golden("be_burst.txt"));
     assert_eq!(out, expected);
 }
 
+/// Every name is resolved before any suite runs: a typo in the last
+/// name fails at once, with nothing on stdout.
 #[test]
-fn nocmap_cli_be_burst_matches_experiments() {
-    let out = run(env!("CARGO_BIN_EXE_nocmap_cli"), &["be-burst"]);
-    assert_eq!(out, golden("be_burst.txt"));
+fn flow_run_resolves_every_name_before_running() {
+    let out = Command::new(env!("CARGO_BIN_EXE_nocmap_cli"))
+        .args(["flow", "run", "fig6a", "fig9z"])
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success());
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("'fig9z' is neither a spec file"),
+        "{stderr}"
+    );
+}
+
+/// A suite with no op snapshots and no wall-clock cells still writes a
+/// record in the one shape, and the checker accepts it: alone, and
+/// against the same record regenerated at 4 workers.
+#[test]
+fn flow_run_writes_a_checked_record_for_any_suite() {
+    let dir = std::env::temp_dir().join(format!("noc_cli_record_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (one, four) = (dir.join("t1.json"), dir.join("t4.json"));
+    let cli = env!("CARGO_BIN_EXE_nocmap_cli");
+    for (threads, path) in [("1", &one), ("4", &four)] {
+        let _ = std::fs::remove_file(path);
+        let out = Command::new(cli)
+            .args(["--threads", threads, "flow", "run", "fig6a", "--label", "t"])
+            .arg("--json")
+            .arg(path)
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success());
+        assert_eq!(String::from_utf8_lossy(&out.stdout), golden("fig6a.txt"));
+        let note = String::from_utf8_lossy(&out.stderr);
+        assert!(note.starts_with("fig6a record 't' appended to "), "{note}");
+    }
+    let record = std::fs::read_to_string(&one).unwrap();
+    assert!(
+        record.contains(
+            "{\"label\":\"t\",\"suite\":\"fig6a\",\"threads\":1,\"rows\":[{\"bench\":\"D1\","
+        ),
+        "{record}"
+    );
+    let checker = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tools/check_bench_json.py");
+    let checked = Command::new("python3")
+        .arg(&checker)
+        .args([&one, &four])
+        .output()
+        .expect("python3 runs the checker");
+    assert!(
+        checked.status.success(),
+        "{}{}",
+        String::from_utf8_lossy(&checked.stdout),
+        String::from_utf8_lossy(&checked.stderr)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

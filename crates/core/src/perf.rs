@@ -53,6 +53,13 @@ macro_rules! snapshot_fields {
                     $($name: self.$name.saturating_sub(earlier.$name),)*
                 }
             }
+
+            /// Every field as `(name, value)`, in declaration order: the
+            /// one counter list a BENCH record's op object is written
+            /// from.
+            pub fn fields(&self) -> Vec<(&'static str, u64)> {
+                vec![$((stringify!($name), self.$name),)*]
+            }
         }
     };
 }
@@ -78,7 +85,6 @@ snapshot_fields! {
     heal_reroutes => HealReroutes,
     heal_evictions => HealEvictions,
     conflict_word_tests => ConflictWordTests,
-    legacy_slot_probes => LegacySlotProbes,
     trace_spans => TraceSpans,
 }
 

@@ -18,7 +18,7 @@
 //! The routes are plain `(CoreId, CoreId, Vec<LinkId>)` triples, so the
 //! crate stays independent of the simulator; `noc-sim`'s
 //! `BestEffortFlow` (or GT `Connection`) wraps them directly. The
-//! `be_burst` suite in `noc-bench` sweeps these patterns against the
+//! `be_burst` suite in `noc-flow` sweeps these patterns against the
 //! traffic models of `noc-sim`.
 //!
 //! # Example

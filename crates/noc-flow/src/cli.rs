@@ -1,13 +1,10 @@
-//! Argument and output helpers shared by the `experiments` and
-//! `nocmap_cli` binaries.
+//! Argument and output helpers of the `nocmap_cli` binary.
 //!
-//! Both tools use the same hand-rolled option scanning (no external
-//! argument parser in this offline workspace); these helpers used to be
-//! copy-pasted into each binary and now live here once, with tests.
-//! Every helper removes the options it consumed from `args`, so
-//! whatever remains is positional. Both binaries print through
-//! [`out!`](crate::out) and [`outln!`](crate::outln), so a reader that
-//! stops early (`nocmap_cli … | head`) ends them quietly.
+//! Hand-rolled option scanning (no external argument parser in this
+//! offline workspace), with tests. Every helper removes the options it
+//! consumed from `args`, so whatever remains is positional. The binary
+//! prints through [`out!`](crate::out) and [`outln!`](crate::outln), so
+//! a reader that stops early (`nocmap_cli … | head`) ends it quietly.
 
 use crate::FlowError;
 
@@ -77,7 +74,7 @@ pub fn take_string(args: &mut Vec<String>, name: &str) -> Result<Option<String>,
     }
 }
 
-/// Pulls the global `--threads N` option both binaries accept (the
+/// Pulls the global `--threads N` option the CLI accepts (the
 /// `noc-par` worker-count pin, equivalent to `NOC_PAR_THREADS=N`).
 ///
 /// # Errors
@@ -101,8 +98,8 @@ pub struct TraceRequest {
     pub mode: noc_obs::TraceMode,
 }
 
-/// Pulls the global `--trace FILE [--trace-mode ops|wall]` options both
-/// binaries accept, falling back to the `NOC_TRACE` / `NOC_TRACE_MODE`
+/// Pulls the global `--trace FILE [--trace-mode ops|wall]` options the
+/// CLI accepts, falling back to the `NOC_TRACE` / `NOC_TRACE_MODE`
 /// environment variables when the flags are absent. Returns `None`
 /// when no trace was requested anywhere.
 ///

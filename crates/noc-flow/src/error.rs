@@ -3,7 +3,7 @@ use std::fmt;
 
 use nocmap::MapError;
 
-/// Unified error type of the design-flow layer and both CLIs.
+/// Unified error type of the design-flow layer and the CLI.
 ///
 /// Wraps the mapper's [`MapError`], I/O failures, spec-file parse
 /// errors, and CLI usage mistakes, so binaries report every failure

@@ -22,10 +22,12 @@
 //!   line-oriented text format (`to_text` / `from_text`).
 //! * [`registry`] — every figure/table of the paper's evaluation
 //!   re-expressed as a named [`ExperimentSpec`].
-//! * [`runner`] / [`render`] — the generic executor and the shared
-//!   table renderers both CLIs print (byte-identical output).
-//! * [`cli`] — the argument helpers shared by the `experiments` and
-//!   `nocmap_cli` binaries.
+//! * [`runner`] — the generic executor: every suite returns one
+//!   [`Table`] of typed columns.
+//! * [`render`] / [`perf_json`] — the one text renderer and the one
+//!   `BENCH_nocmap.json` record writer over a [`Table`].
+//! * [`cli`] — the argument and output helpers of the `nocmap_cli`
+//!   binary.
 //!
 //! # Determinism contract
 //!
@@ -71,10 +73,12 @@
 pub mod builder;
 pub mod cli;
 pub mod config;
+pub mod perf_json;
 pub mod registry;
 pub mod render;
 pub mod runner;
 pub mod stage;
+pub mod table;
 
 mod error;
 
@@ -84,5 +88,6 @@ pub use config::{
     LabeledBench, StageConfig,
 };
 pub use error::FlowError;
-pub use runner::{run_spec, ExperimentOutput};
+pub use runner::run_spec;
 pub use stage::{FlowContext, Stage};
+pub use table::{Cell, Column, Table};

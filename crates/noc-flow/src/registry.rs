@@ -1,10 +1,10 @@
 //! The experiment registry: every figure and table of the paper's
 //! evaluation section re-expressed as a named [`ExperimentSpec`].
 //!
-//! The registry is the single source of truth both CLIs execute
-//! (`experiments <name>`, `nocmap_cli flow run <name|file>`); adding a
-//! sweep means adding a spec here (or shipping a spec file), not
-//! writing a new Rust function. `fig6b`/`fig6c` have `+`-suffixed
+//! The registry is the single source of truth the CLI executes
+//! (`nocmap_cli flow run <name|file>…`); adding a sweep means adding a
+//! spec here (or shipping a spec file), not writing a new Rust
+//! function. `fig6b`/`fig6c` have `+`-suffixed
 //! variants carrying the paper's prose 40-use-case extension.
 
 use noc_benchgen::SocDesign;
@@ -67,9 +67,16 @@ fn spec(name: &str, title: &str, kind: ExperimentKind) -> ExperimentSpec {
     }
 }
 
-/// Every registered experiment, in the order `experiments -- all` runs
-/// its deterministic core (`fig6b`/`fig6c` appear in both plain and
-/// extended form).
+/// The suites `flow run all` runs, in order: the paper's figures and
+/// tables (the extended `fig6b+`/`fig6c+`), verification, ablation,
+/// runtime, the BE burst sweep and the headline.
+pub const ALL: [&str; 11] = [
+    "fig6a", "fig6b+", "fig6c+", "fig7a", "fig7b", "fig7c", "verify", "ablation", "runtime",
+    "be_burst", "headline",
+];
+
+/// Every registered experiment (`fig6b`/`fig6c` appear in both plain
+/// and extended form).
 pub fn registry() -> Vec<ExperimentSpec> {
     let mut specs = Vec::new();
     specs.push(spec(

@@ -21,9 +21,9 @@ use std::ops::Index;
 /// width.
 ///
 /// The variants up to and including [`Counter::SimCycles`] are the
-/// *op counters*: their sum is the op clock of ops-mode traces. The
-/// slot-fold pair and [`Counter::TraceSpans`] are counted but do not
-/// advance the op clock.
+/// *op counters*: their sum is the op clock of ops-mode traces.
+/// [`Counter::ConflictWordTests`] and [`Counter::TraceSpans`] are
+/// counted but do not advance the op clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Counter {
     /// Constrained shortest-path queries (`nocmap::path::PathQuery`).
@@ -77,9 +77,6 @@ pub enum Counter {
     /// `u64`-word operations in slot-conflict folds
     /// (`links × ⌈S/64⌉` per fold).
     ConflictWordTests,
-    /// Per-slot probes the pre-mask slot tables would have needed for
-    /// the same conflict answers (`links × S` per fold).
-    LegacySlotProbes,
     /// Trace spans recorded; stays 0 while no collector is installed.
     TraceSpans,
 }
@@ -187,7 +184,6 @@ mod tests {
         count(Counter::HealEvictions, 2);
         count(Counter::SimCycles, 5);
         count(Counter::ConflictWordTests, 1_000);
-        count(Counter::LegacySlotProbes, 1_000);
         count(Counter::TraceSpans, 1_000);
         assert_eq!(ops() - before, 7);
     }

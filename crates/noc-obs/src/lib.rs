@@ -62,7 +62,7 @@ mod trace;
 
 pub use counter::{absorb, count, counts, measure, Counter, Counts};
 pub use record::{active, finish, install, recording, span, task_set, AttrValue, Span, TaskSet};
-pub use trace::{Attr, SpanNode, Trace};
+pub use trace::{json_escape, Attr, SpanNode, Trace};
 
 /// Export/determinism mode a collector is installed with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -302,7 +302,9 @@ fn us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
 }
 
-fn json_escape(s: &str) -> String {
+/// `s` escaped for use inside a JSON string literal: quotes and
+/// backslashes get a backslash, control characters a `\uXXXX` escape.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -13,6 +13,12 @@
 //! would stop the rebuilt daemon before it served a request. Recovery
 //! also skips any `shutdown` found in a hand-edited journal, for the
 //! same reason.
+//!
+//! A crash in the middle of an append leaves a torn last line with no
+//! `\n`. Its request was never applied, so recovery replays only
+//! newline-terminated lines and cuts the torn tail off the file before
+//! the journal reopens for appending: the next request starts a line
+//! of its own instead of extending the fragment.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
@@ -53,8 +59,14 @@ impl Journal {
         !matches!(parse_command(line), Ok(Some(Command::Shutdown)))
     }
 
-    /// Appends one request line and flushes it to the OS before
-    /// returning, so a request is durable before it is applied.
+    /// Appends one request line, with its `\n`, in one write before
+    /// returning, so the daemon journals a request before applying it.
+    ///
+    /// The guarantee is crash-of-the-daemon, not crash-of-the-machine:
+    /// the bytes are in the OS page cache when this returns (a `File`
+    /// has no user-space buffer to flush), so a journaled request
+    /// survives the daemon dying, but an OS crash or power loss can
+    /// lose requests the kernel had not yet written to disk.
     ///
     /// # Errors
     ///
@@ -63,36 +75,58 @@ impl Journal {
         if !Journal::should_record(line) {
             return Ok(());
         }
-        self.file.write_all(line.as_bytes())?;
-        self.file.write_all(b"\n")?;
-        self.file.flush()
+        let mut framed = String::with_capacity(line.len() + 1);
+        framed.push_str(line);
+        framed.push('\n');
+        self.file.write_all(framed.as_bytes())
     }
 }
 
 /// Rebuilds an engine by replaying the journal at `path` (a missing
 /// journal file yields a fresh engine). Responses are discarded — only
 /// the resulting engine state matters — and `shutdown` lines are
-/// skipped.
+/// skipped. Only newline-terminated lines are replayed; a torn last
+/// line (a crash mid-append) is truncated off the file.
 ///
 /// # Errors
 ///
-/// A message for an invalid engine configuration or an unreadable
-/// journal.
+/// A message for an invalid engine configuration, or a journal that
+/// cannot be read, is not UTF-8, or cannot be truncated.
 pub fn recover(cfg: EngineConfig, path: impl AsRef<Path>) -> Result<Engine, String> {
     let mut engine = Engine::new(cfg)?;
     let path = path.as_ref();
     if !path.exists() {
         return Ok(engine);
     }
-    let file = File::open(path).map_err(|e| format!("open journal {}: {e}", path.display()))?;
-    for line in BufReader::new(file).lines() {
-        let line = line.map_err(|e| format!("read journal {}: {e}", path.display()))?;
-        if !Journal::should_record(&line) {
-            continue;
+    let err =
+        |what: &str, e: &dyn std::fmt::Display| format!("{what} journal {}: {e}", path.display());
+    let file = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(path)
+        .map_err(|e| err("open", &e))?;
+    let mut reader = BufReader::new(&file);
+    let (mut complete, mut line) = (0u64, Vec::new());
+    loop {
+        line.clear();
+        let read = reader
+            .read_until(b'\n', &mut line)
+            .map_err(|e| err("read", &e))?;
+        if line.pop() != Some(b'\n') {
+            if read > 0 {
+                file.set_len(complete).map_err(|e| err("truncate", &e))?;
+            }
+            return Ok(engine);
         }
-        let _ = engine.submit_line(&line);
+        complete += read as u64;
+        if line.last() == Some(&b'\r') {
+            line.pop();
+        }
+        let line = std::str::from_utf8(&line).map_err(|e| err("read", &e))?;
+        if Journal::should_record(line) {
+            let _ = engine.submit_line(line);
+        }
     }
-    Ok(engine)
 }
 
 #[cfg(test)]
@@ -137,6 +171,61 @@ mod tests {
         assert_eq!(live.submit_line("stats"), rebuilt.submit_line("stats"));
         assert_eq!(live.submit_line("health"), rebuilt.submit_line("health"));
         assert_eq!(live.stats(), rebuilt.stats());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A crash can cut the journal at any byte. Recovery must replay
+    /// exactly the complete lines, and the next recorded request must
+    /// start a line of its own, so a second recovery sees the complete
+    /// lines plus that request — never a fragment glued to it.
+    #[test]
+    fn torn_tails_are_dropped_at_every_byte_offset() {
+        let (full, path) = (temp_path("torn-full"), temp_path("torn"));
+        let _ = std::fs::remove_file(&full);
+        let cfg = EngineConfig::default();
+        let mut lines = generate_trace(6, 2006);
+        lines.insert(3, "fault link 5 6".to_string());
+        let mut journal = Journal::open(&full).unwrap();
+        for line in &lines {
+            journal.record(line).unwrap();
+        }
+        let text = std::fs::read_to_string(&full).unwrap();
+        let next = "add u9 flow 4 5 100";
+        let fed = |complete: &[&str]| {
+            let mut engine = Engine::new(cfg.clone()).unwrap();
+            for line in complete {
+                let _ = engine.submit_line(line);
+            }
+            engine
+        };
+        let same = |a: &mut Engine, b: &mut Engine, cut: usize| {
+            assert_eq!(
+                a.submit_line("snapshot"),
+                b.submit_line("snapshot"),
+                "cut {cut}"
+            );
+            assert_eq!(a.stats(), b.stats(), "cut {cut}");
+        };
+        for cut in 0..=text.len() {
+            std::fs::write(&path, &text.as_bytes()[..cut]).unwrap();
+            let complete: Vec<&str> = text[..text[..cut].rfind('\n').map_or(0, |i| i + 1)]
+                .lines()
+                .collect();
+            same(
+                &mut recover(cfg.clone(), &path).unwrap(),
+                &mut fed(&complete),
+                cut,
+            );
+            Journal::open(&path).unwrap().record(next).unwrap();
+            let mut again: Vec<&str> = complete.clone();
+            again.push(next);
+            same(
+                &mut recover(cfg.clone(), &path).unwrap(),
+                &mut fed(&again),
+                cut,
+            );
+        }
+        let _ = std::fs::remove_file(&full);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -24,8 +24,7 @@
 //!   connections.
 //!
 //! Every combined-occupancy fold counts its work in the calling
-//! thread's `noc-obs` counters ([`noc_obs::Counter::ConflictWordTests`]
-//! and [`noc_obs::Counter::LegacySlotProbes`]).
+//! thread's `noc-obs` counters ([`noc_obs::Counter::ConflictWordTests`]).
 //!
 //! # Example
 //!

@@ -105,10 +105,6 @@ impl NetworkSlots {
             Counter::ConflictWordTests,
             (path.len() * acc.word_count()) as u64,
         );
-        noc_obs::count(
-            Counter::LegacySlotProbes,
-            (path.len() * self.slots_per_table) as u64,
-        );
         acc
     }
 
@@ -476,8 +472,7 @@ mod tests {
         let ((), counted) = noc_obs::measure(|| {
             let _ = ns.free_base_slots(&path);
         });
-        // 3 links, 8 slots: one word each, 8 legacy probes each.
+        // 3 links, 8 slots: one word each.
         assert_eq!(counted[Counter::ConflictWordTests], 3);
-        assert_eq!(counted[Counter::LegacySlotProbes], 24);
     }
 }

@@ -1,5 +1,4 @@
 //! Umbrella crate: re-exports the full multi-use-case NoC mapping stack.
-pub use noc_bench as bench;
 pub use noc_benchgen as benchgen;
 pub use noc_flow as flow;
 pub use noc_obs as obs;

@@ -35,8 +35,8 @@ const GOLDENS: [(&str, &str); 15] = [
     ("resilience", include_str!("goldens/resilience.txt")),
 ];
 
-/// What the `experiments` binary prints for one name: the rendering on
-/// success, the historical `{name} failed: {e}` line on failure.
+/// What `nocmap_cli flow run` prints for one name: the rendering on
+/// success, the `{name} failed: {e}` line on failure.
 fn render_as_cli(name: &str) -> String {
     let spec = registry::find(name).expect("golden suites are registered");
     match run_spec(&spec) {
@@ -82,13 +82,4 @@ fn checked_in_spec_file_matches_the_registry() {
         text,
         "round-trip text of the registry entry drifted from the file"
     );
-}
-
-#[test]
-fn legacy_entry_points_delegate_to_the_registry() {
-    // The thin façade in `noc-bench` must return the same points the
-    // runner produces (spot-check one infallible suite end to end).
-    let comps = noc_multiusecase::bench::fig6a();
-    let rendered = render::render_comparisons(&registry::find("fig6a").unwrap().title, &comps);
-    assert_eq!(rendered, GOLDENS[0].1);
 }

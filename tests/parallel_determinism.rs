@@ -187,7 +187,7 @@ fn pool_is_reused_across_sequential_regions() {
 /// pins `min(4, available cores)` workers — pinning more threads than
 /// cores turns speculative work into pure overhead, which is a
 /// misconfiguration, not a property worth asserting. The actual measured
-/// speedup is reported by `experiments -- runtime` (and recorded in
+/// speedup is reported by `nocmap_cli flow run runtime` (and recorded in
 /// CHANGES.md); the bound here is loose so that slow or noisy CI
 /// machines cannot flake it.
 #[test]

@@ -4,8 +4,8 @@
 //! (golden values captured from the seed-2006 pipeline before
 //! `TrafficModel` existed).
 
-use noc_multiusecase::bench::{be_burst, format_be_burst};
 use noc_multiusecase::benchgen::{chained_chain, SpreadConfig};
+use noc_multiusecase::flow::{registry, render::render, run_spec};
 use noc_multiusecase::map::design::design_smallest_mesh;
 use noc_multiusecase::map::MapperOptions;
 use noc_multiusecase::par::with_threads;
@@ -19,13 +19,15 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 /// The `be_burst` sweep — parallel over its points via `noc-par` — must
 /// render byte-identical tables at 1, 2, and 8 workers (the acceptance
-/// bar for `experiments -- be_burst` under `NOC_PAR_THREADS`).
+/// bar for `nocmap_cli flow run be_burst` under `NOC_PAR_THREADS`).
 #[test]
 fn be_burst_table_identical_across_thread_counts() {
-    let base = with_threads(1, || format_be_burst(&be_burst()));
+    let spec = registry::find("be_burst").expect("be_burst is registered");
+    let be_burst = || render(&run_spec(&spec).expect("be_burst runs"));
+    let base = with_threads(1, be_burst);
     assert!(base.contains("mmpp-1/8"), "sweep must cover seeded bursts");
     for threads in THREAD_COUNTS {
-        let table = with_threads(threads, || format_be_burst(&be_burst()));
+        let table = with_threads(threads, be_burst);
         assert_eq!(table, base, "be_burst table differs at {threads} threads");
     }
 }

@@ -1,193 +1,140 @@
 #!/usr/bin/env python3
-"""Validate BENCH_nocmap.json trajectory files (schema + determinism).
+"""Validate BENCH_nocmap.json trajectory files (shape + determinism).
 
 Usage:
-    check_bench_json.py FILE [FILE2]
+    check_bench_json.py FILE [FILE...]
 
-With one file: validates the schema (top-level keys, per-run and
-per-suite fields, op-counter keys). With two files: additionally asserts
-that both trajectories hold the same run labels and that the
-*deterministic* fields of every pair of same-label records are
-identical — CI passes trajectories in which one record was regenerated
-at ``--threads 1`` and ``4``, so any divergence is a
-determinism-contract violation. Wall-time fields
-(``map_ms`` / ``anneal_ms`` / ``trace_ms``) are machine-dependent and
-excluded. Frontier records (``"frontier"`` instead of ``"suites"``),
-service records (``"service"``) and resilience records
-(``"resilience"``) carry no wall-clock at all, so every field of their
-rows is compared.
+Every record has the one shape `nocmap_cli flow run NAME --json` writes
+(see docs/PERFORMANCE.md):
 
-See docs/PERFORMANCE.md for the schema.
+    {"label": str, "suite": str, "threads": int, "rows": [row, ...]}
+
+A row maps column keys to scalars (number, string or null), holds each
+op-counter snapshot as an object whose keys are counter names, and keeps
+its wall-clock cells apart in an optional "wall" object of numbers. The
+counter names are read from the one field list, the `snapshot_fields!`
+invocation in crates/core/src/perf.rs.
+
+With more than one file, every later file must hold the same record
+labels as the first, and each record's deterministic part (its suite and
+its rows without "wall") must equal the first file's. CI passes the
+committed file plus copies with one record regenerated at 1 and at 4
+workers, so a difference is a stale committed record or a
+determinism-contract violation.
 """
 
 import json
+import pathlib
+import re
 import sys
 
-OP_KEYS_V1 = {
-    "path_queries",
-    "dijkstra_pops",
-    "scratch_allocs",
-    "group_routes",
-    "full_maps",
-    "groups_rerouted",
-    "groups_reused",
-    "anneal_moves",
-    "anneal_accepts",
-}
-# PR 6 added the slot-conflict counter pair; records written earlier
-# carry the V1 key set and stay valid.
-OP_KEYS_V2 = OP_KEYS_V1 | {"conflict_word_tests", "legacy_slot_probes"}
-# PR 7 added the trace-span counter (stays 0 with no collector — the
-# pay-for-use proof) and the trace_ms wall column per suite.
-OP_KEYS_V3 = OP_KEYS_V2 | {"trace_spans"}
-# PR 8 added the route-cache hit/miss pair (strategy portfolio).
-OP_KEYS_V4 = OP_KEYS_V3 | {"route_cache_hits", "route_cache_misses"}
-# PR 9 added the online-admission counters (nocd service).
-OP_KEYS_V5 = OP_KEYS_V4 | {
-    "admissions",
-    "rejections",
-    "displacement_evictions",
-    "batch_flushes",
-}
-# PR 10 added the fault-injection / self-healing counters.
-OP_KEYS_V6 = OP_KEYS_V5 | {
-    "faults_injected",
-    "heals_attempted",
-    "heal_reroutes",
-    "heal_evictions",
-}
-OP_KEY_SETS = (OP_KEYS_V1, OP_KEYS_V2, OP_KEYS_V3, OP_KEYS_V4, OP_KEYS_V5, OP_KEYS_V6)
-SUITE_KEYS = {"label", "switches", "map_ms", "anneal_ms", "map_ops", "anneal_ops"}
-SUITE_KEYS_V2 = SUITE_KEYS | {"trace_ms"}
-# Frontier records: one row per (benchmark, strategy), strategy-keyed
-# quality and op columns. Every field is deterministic (no wall-clock).
-FRONTIER_ROW_KEYS = {"bench", "strategy", "switches", "cost", "evictions", "ops"}
-STRATEGIES = {"greedy", "displacement"}
-# PR 9 service records: one row per (fabric, admission mode), admission
-# outcome + reconfiguration ops. Every field is deterministic (the
-# seeded trace replays byte-identically at any worker count).
-SERVICE_ROW_KEYS = {
-    "fabric",
-    "mode",
-    "admitted",
-    "rejected",
-    "displaced",
-    "evictions",
-    "flushes",
-    "ops",
-}
-MODES = {"incremental", "resolve"}
-# PR 10 resilience records: one row per fabric, fault-injection outcome
-# + self-healing repair ops. Every field is deterministic (the fault
-# schedule is a pure function of the config and seed).
-RESILIENCE_ROW_KEYS = {
-    "fabric",
-    "faults",
-    "admitted",
-    "rejected",
-    "links_failed",
-    "nis_failed",
-    "degraded",
-    "healed",
-    "ops",
-}
+PERF_RS = pathlib.Path(__file__).resolve().parent.parent / "crates/core/src/perf.rs"
 
 
-def load(path):
+def counter_names():
+    text = PERF_RS.read_text()
+    block = text[text.index("snapshot_fields! {") :]
+    block = block[: block.index("}")]
+    return set(re.findall(r"^\s*(\w+) =>", block, re.M))
+
+
+class Bad(Exception):
+    pass
+
+
+def check(ok, message):
+    if not ok:
+        raise Bad(message)
+
+
+def is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def load(path, counters):
     with open(path) as f:
         doc = json.load(f)
-    assert doc.get("schema") == 1, f"{path}: unexpected schema {doc.get('schema')}"
-    runs = doc.get("trajectory")
-    assert isinstance(runs, list) and runs, f"{path}: empty or missing trajectory"
-    labels = [run.get("label") for run in runs]
-    dupes = {lbl for lbl in labels if labels.count(lbl) > 1}
-    assert not dupes, f"{path}: duplicate run labels {sorted(dupes)}"
-    for run in runs:
-        assert isinstance(run["threads"], int) and run["threads"] >= 1
-        if "frontier" in run:
-            assert set(run) == {"label", "threads", "frontier"}, (
-                f"{path}: bad frontier run keys {set(run)}"
-            )
-            assert run["frontier"], f"{path}: run '{run['label']}' has no rows"
-            for row in run["frontier"]:
-                assert set(row) == FRONTIER_ROW_KEYS, f"{path}: bad row keys {set(row)}"
-                assert row["strategy"] in STRATEGIES, f"{path}: bad strategy {row['strategy']}"
-                assert set(row["ops"]) in OP_KEY_SETS, f"{path}: bad ops keys {set(row['ops'])}"
-            continue
-        if "resilience" in run:
-            assert set(run) == {"label", "threads", "resilience"}, (
-                f"{path}: bad resilience run keys {set(run)}"
-            )
-            assert run["resilience"], f"{path}: run '{run['label']}' has no rows"
-            for row in run["resilience"]:
-                assert set(row) == RESILIENCE_ROW_KEYS, f"{path}: bad row keys {set(row)}"
-                assert set(row["ops"]) in OP_KEY_SETS, f"{path}: bad ops keys {set(row['ops'])}"
-            continue
-        if "service" in run:
-            assert set(run) == {"label", "threads", "service"}, (
-                f"{path}: bad service run keys {set(run)}"
-            )
-            assert run["service"], f"{path}: run '{run['label']}' has no rows"
-            for row in run["service"]:
-                assert set(row) == SERVICE_ROW_KEYS, f"{path}: bad row keys {set(row)}"
-                assert row["mode"] in MODES, f"{path}: bad mode {row['mode']}"
-                assert set(row["ops"]) in OP_KEY_SETS, f"{path}: bad ops keys {set(row['ops'])}"
-            continue
-        assert set(run) == {"label", "threads", "suites"}, f"{path}: bad run keys {set(run)}"
-        assert run["suites"], f"{path}: run '{run['label']}' has no suites"
-        for suite in run["suites"]:
-            assert set(suite) in (SUITE_KEYS, SUITE_KEYS_V2), (
-                f"{path}: bad suite keys {set(suite)}"
-            )
-            for ops_key in ("map_ops", "anneal_ops"):
-                assert set(suite[ops_key]) in OP_KEY_SETS, (
-                    f"{path}: bad {ops_key} keys {set(suite[ops_key])}"
-                )
-    return doc
+    check(doc.get("schema") == 2, f"{path}: unexpected schema {doc.get('schema')}")
+    records = doc.get("trajectory")
+    check(isinstance(records, list) and records, f"{path}: empty or missing trajectory")
+    labels = [r.get("label") for r in records]
+    dupes = sorted({lbl for lbl in labels if labels.count(lbl) > 1})
+    check(not dupes, f"{path}: duplicate record labels {dupes}")
+    for r in records:
+        where = f"{path}: record '{r.get('label')}'"
+        check(set(r) == {"label", "suite", "threads", "rows"}, f"{where}: keys {sorted(r)}")
+        check(isinstance(r["suite"], str), f"{where}: suite is not a name")
+        check(isinstance(r["threads"], int) and r["threads"] >= 1, f"{where}: bad threads")
+        check(isinstance(r["rows"], list) and r["rows"], f"{where}: no rows")
+        for row in r["rows"]:
+            check(isinstance(row, dict), f"{where}: a row is not an object")
+            for key, value in row.items():
+                if key == "wall":
+                    check(
+                        isinstance(value, dict) and all(map(is_number, value.values())),
+                        f"{where}: wall cells must be numbers: {value}",
+                    )
+                elif isinstance(value, dict):
+                    unknown = sorted(set(value) - counters)
+                    check(not unknown, f"{where}: unknown op keys {unknown} in '{key}'")
+                    check(
+                        all(isinstance(n, int) and n >= 0 for n in value.values()),
+                        f"{where}: op counts in '{key}' must be non-negative integers",
+                    )
+                else:
+                    check(
+                        value is None or is_number(value) or isinstance(value, str),
+                        f"{where}: cell '{key}' is not a scalar",
+                    )
+    return {r["label"]: r for r in records}
 
 
-def deterministic(run):
-    if "frontier" in run:
-        # Frontier rows carry no wall-clock: every field must match.
-        return run["frontier"]
-    if "service" in run:
-        # Service rows carry no wall-clock either.
-        return run["service"]
-    if "resilience" in run:
-        # Resilience rows carry no wall-clock either.
-        return run["resilience"]
-    return [
-        {k: s[k] for k in ("label", "switches", "map_ops", "anneal_ops")}
-        for s in run["suites"]
-    ]
+def show_diff(where, a, b):
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            show_diff(f"{where}.{key}", a.get(key), b.get(key))
+    elif a != b:
+        print(f"  {where}: {a} != {b}")
+
+
+def deterministic(record):
+    rows = [{k: v for k, v in row.items() if k != "wall"} for row in record["rows"]]
+    return record["suite"], rows
 
 
 def main(argv):
-    if len(argv) not in (2, 3):
+    if len(argv) < 2:
         print(__doc__)
         return 2
-    docs = [load(p) for p in argv[1:]]
+    counters = counter_names()
+    try:
+        docs = [load(path, counters) for path in argv[1:]]
+    except Bad as e:
+        print(f"FAIL: {e}")
+        return 1
     for path in argv[1:]:
-        print(f"{path}: schema OK")
-    if len(docs) == 2:
-        a, b = ({run["label"]: run for run in d["trajectory"]} for d in docs)
-        if a.keys() != b.keys():
-            print(f"FAIL: run labels differ: {sorted(a)} != {sorted(b)}")
-            return 1
-        failed = False
-        for label in a:
-            ra, rb = deterministic(a[label]), deterministic(b[label])
-            if ra != rb:
-                failed = True
-                print(f"FAIL: record '{label}': deterministic fields differ")
-                for sa, sb in zip(ra, rb):
-                    if sa != sb:
-                        print(f"  {sa} != {sb}")
-                if len(ra) != len(rb):
-                    print(f"  {len(ra)} rows != {len(rb)} rows")
-        if failed:
-            return 1
-        print(f"deterministic fields identical across {len(a)} records")
+        print(f"{path}: shape OK")
+    first, failed = docs[0], False
+    for path, doc in zip(argv[2:], docs[1:]):
+        if doc.keys() != first.keys():
+            print(f"FAIL: {path}: labels {sorted(doc)} != {sorted(first)} in {argv[1]}")
+            failed = True
+            continue
+        for label in first:
+            (sa, ra), (sb, rb) = deterministic(first[label]), deterministic(doc[label])
+            if (sa, ra) == (sb, rb):
+                continue
+            failed = True
+            print(f"FAIL: {path}: record '{label}': deterministic fields differ from {argv[1]}")
+            show_diff("suite", sa, sb)
+            for i, (a, b) in enumerate(zip(ra, rb)):
+                show_diff(f"rows[{i}]", a, b)
+            if len(ra) != len(rb):
+                print(f"  {len(ra)} rows != {len(rb)} rows")
+    if failed:
+        return 1
+    if len(docs) > 1:
+        print(f"deterministic fields identical across {len(docs)} files, {len(first)} records")
     return 0
 
 
