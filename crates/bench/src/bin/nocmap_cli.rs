@@ -28,8 +28,8 @@
 //!   analytic report, optionally emit the configuration artifact. The
 //!   optional `--strategy` picks a mapping strategy from the
 //!   `nocmap::strategy` portfolio (see `docs/STRATEGIES.md`).
-//! * `flow run {FILE|NAME|all}... [--spec SOCFILE] [--json FILE]
-//!   [--label L]` — execute experiment specs (registry names, or files
+//! * `flow run {FILE|NAME|all}... [--spec SOCFILE] [--json FILE
+//!   [--label L]]` — execute experiment specs (registry names, or files
 //!   in the `noc-flow` text format) in order via the generic runner and
 //!   print each suite's table; `all` stands for the paper's suites
 //!   (`noc_flow::registry::ALL`). A suite that fails prints
@@ -40,6 +40,7 @@
 //!   record labelled L (default `local`) into the `BENCH_nocmap.json`
 //!   trajectory at FILE, replacing a record with the same label (see
 //!   `docs/PERFORMANCE.md`); the note saying so goes to stderr.
+//!   `--label` without `--json` is a usage error.
 //! * `flow list` — list the registered experiments.
 //! * `flow show NAME` — print a registry entry as a spec file (the
 //!   format `flow run` accepts).
@@ -99,7 +100,7 @@ fn usage() -> ExitCode {
         "usage:\n  nocmap_cli gen {{d1|d2|d3|d4|sp|bot}} [--use-cases N] [--seed S]\n  \
          nocmap_cli design SPEC [--freq MHZ] [--slots N] [--max-switches N] [--wc] \
          [--anneal ITERxCHAINS] [--strategy greedy|displacement] [--emit FILE]\n  \
-         nocmap_cli flow {{run FILE|NAME|all... [--spec SOCFILE] [--json FILE] [--label L] \
+         nocmap_cli flow {{run FILE|NAME|all... [--spec SOCFILE] [--json FILE [--label L]] \
          | list | show NAME}}\n  \
          nocmap_cli serve [--port P] [--rows R] [--cols C] [--nis N] [--batch B] \
          [--budget M] [--mode incremental|resolve] [--journal FILE]\n  \
@@ -307,7 +308,13 @@ fn cmd_flow(mut args: Vec<String>) -> Result<(), FlowError> {
         }
         "run" => {
             let json = take_string(&mut args, "--json")?;
-            let label = take_string(&mut args, "--label")?.unwrap_or_else(|| "local".into());
+            let label = take_string(&mut args, "--label")?;
+            if label.is_some() && json.is_none() {
+                return Err(FlowError::Usage(
+                    "--label names a record: give --json FILE too".into(),
+                ));
+            }
+            let label = label.unwrap_or_else(|| "local".into());
             let mut targets = Vec::new();
             for target in &args[1..] {
                 match target.as_str() {

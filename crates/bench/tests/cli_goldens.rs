@@ -72,6 +72,20 @@ fn flow_run_resolves_every_name_before_running() {
     );
 }
 
+/// `--label` names a `--json` record, so alone it is a usage error:
+/// exit 1, nothing on stdout, and no suite runs.
+#[test]
+fn flow_run_refuses_a_label_without_json() {
+    let out = Command::new(env!("CARGO_BIN_EXE_nocmap_cli"))
+        .args(["flow", "run", "fig6a", "--label", "t"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("error: --label names a record"), "{stderr}");
+}
+
 /// A suite with no op snapshots and no wall-clock cells still writes a
 /// record in the one shape, and the checker accepts it: alone, and
 /// against the same record regenerated at 4 workers.

@@ -59,10 +59,11 @@ impl DvsReport {
 ///
 /// # Errors
 ///
-/// Any [`MapError`] from the design-frequency search, or
-/// [`MapError::NoFeasibleFrequency`] for a use-case that is infeasible
-/// even at the design frequency (which would indicate a broken input
-/// solution).
+/// Any [`MapError`] from the design-frequency search (among them
+/// [`MapError::NoFeasibleFrequency`] when `floor` is above the
+/// solution's clock), or [`MapError::NoFeasibleFrequency`] for a
+/// use-case that is infeasible even at the design frequency (which
+/// would indicate a broken input solution).
 pub fn dvs_savings(
     soc: &SocSpec,
     groups: &UseCaseGroups,
@@ -299,6 +300,20 @@ mod tests {
             "{}",
             report.savings_fraction()
         );
+    }
+
+    /// A floor above the design's clock has no feasible frequency: the
+    /// study fails instead of reporting the floor at no saving.
+    #[test]
+    fn a_floor_above_the_design_clock_fails() {
+        let soc = skewed_soc();
+        let groups = UseCaseGroups::singletons(2);
+        let opts = MapperOptions::default();
+        let sol =
+            design_smallest_mesh(&soc, &groups, TdmaSpec::paper_default(), &opts, 100).unwrap();
+        let floor = Frequency::from_hz(sol.spec().frequency().as_hz() + 1_000_000);
+        let err = dvs_savings(&soc, &groups, &sol, &opts, &DvsModel::cmos130(), floor);
+        assert_eq!(err, Err(MapError::NoFeasibleFrequency));
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! merged demand, a swap with the target NI's occupant (the inverse
 //! swap is the rollback), and the scan for the groups a move must
 //! re-route. (`remap::refine_with_remap` keeps a hill-climb of its own
-//! over per-group sub-specs.)
+//! over per-group sub-specs.) The displacement strategy also reads a
+//! move's lower cost bound here, from a table of surviving NI-to-NI hop
+//! distances, before it routes the move.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
@@ -66,6 +68,56 @@ pub(crate) fn seat(
         .min_by_key(|&(_, &ni)| cost(ni))
         .expect("a free NI to seat on");
     placement.insert(core, free.remove(i));
+}
+
+/// Surviving hop distances between every two NIs: one BFS per NI,
+/// built once and read for many moves.
+pub(crate) struct HopTable {
+    /// Per node id, the distances from that NI; empty for a switch.
+    rows: Vec<Vec<Option<usize>>>,
+}
+
+impl HopTable {
+    /// One BFS over `view`'s surviving links from each NI.
+    pub(crate) fn new(view: DegradedView<'_>) -> Self {
+        let topo = view.topology();
+        let mut rows = vec![Vec::new(); topo.node_count()];
+        for &ni in topo.nis() {
+            rows[ni.index()] = view.hop_distances_from(ni);
+        }
+        HopTable { rows }
+    }
+
+    /// As [`DegradedView::hop_distance`] between two NIs, `None` on error.
+    pub(crate) fn get(&self, from: NodeId, to: NodeId) -> Option<usize> {
+        self.rows[from.index()][to.index()]
+    }
+}
+
+/// A lower bound on what routing the groups `affected` marks costs
+/// under `placement`: Σ bandwidth × surviving hop distance over their
+/// merged flows, in bytes/s·hops. A route never has fewer links than
+/// the hop distance between its NIs over the links the mapper may use,
+/// so no routing of those groups costs less than the bound. `None` when
+/// some pair's NIs are not joined: those groups cannot route.
+///
+/// # Panics
+///
+/// When `placement` leaves a core of an affected group unseated.
+pub(crate) fn hop_bound(
+    hops: &HopTable,
+    merged: &[BTreeMap<(CoreId, CoreId), MergedFlow>],
+    affected: &[bool],
+    placement: &BTreeMap<CoreId, NodeId>,
+) -> Option<u128> {
+    let mut bound: u128 = 0;
+    for (flows, _) in merged.iter().zip(affected).filter(|&(_, &a)| a) {
+        for (&(s, d), flow) in flows {
+            let hops = hops.get(placement[&s], placement[&d])? as u128;
+            bound += flow.bandwidth.as_bytes_per_sec() as u128 * hops;
+        }
+    }
+    Some(bound)
 }
 
 /// Where displacement may re-seat a core now on `from`: every surviving
@@ -259,6 +311,121 @@ mod tests {
             }
         }
         assert!(occupied_targets > 100 && free_targets > 100);
+    }
+
+    /// No config `reroute_preset_groups` returns, routed or taken from
+    /// its cache, costs less than its group's hop bound under the
+    /// placement, on random meshes with latency bounds and random link
+    /// and NI faults; a group with a pair whose NIs are not joined does
+    /// not route.
+    #[test]
+    fn no_routed_config_costs_less_than_its_hop_bound() {
+        use crate::mapper::{reroute_preset_groups, MapperOptions, RouteCache};
+        use crate::merge::merged_group_flows;
+        use noc_tdma::TdmaSpec;
+        use noc_usecase::spec::{SocSpec, UseCaseBuilder};
+        use noc_usecase::UseCaseGroups;
+
+        let c = CoreId::new;
+        let spec = TdmaSpec::paper_default();
+        let (mut checked, mut tight, mut unjoined) = (0, 0, 0);
+        let before = crate::perf::snapshot();
+        for seed in 0..192 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let topo = MeshBuilder::new(rng.gen_range(1..=3u16), rng.gen_range(2..=3u16))
+                .nis_per_switch(rng.gen_range(1..=3u16))
+                .build()
+                .unwrap()
+                .into_topology();
+            let cores = rng.gen_range(2..=topo.ni_count().min(12) as u32);
+            let use_cases = rng.gen_range(1..=4usize);
+            let mut soc = SocSpec::new("bounded");
+            for u in 0..use_cases {
+                let mut b = UseCaseBuilder::new(format!("u{u}"));
+                let mut pairs = BTreeSet::new();
+                while pairs.len() < rng.gen_range(1..=6usize) {
+                    let (src, dst) = (rng.gen_range(0..cores), rng.gen_range(0..cores));
+                    if src != dst && pairs.insert((src, dst)) {
+                        let latency = if rng.gen_bool(0.3) {
+                            Latency::from_ns(rng.gen_range(4..40u64))
+                        } else {
+                            Latency::UNCONSTRAINED
+                        };
+                        let bandwidth = Bandwidth::from_mbps(rng.gen_range(10..1500u64));
+                        b = b.flow(c(src), c(dst), bandwidth, latency).unwrap();
+                    }
+                }
+                soc.add_use_case(b.build());
+            }
+            let groups = if rng.gen_bool(0.25) {
+                UseCaseGroups::single_group(use_cases)
+            } else {
+                UseCaseGroups::singletons(use_cases)
+            };
+            let merged = merged_group_flows(&soc, &groups);
+            let mut options = MapperOptions::default();
+            for _ in 0..rng.gen_range(0..=4) {
+                options
+                    .faults
+                    .fail_link(topo.links()[rng.gen_range(0..topo.link_count())].id());
+            }
+            if rng.gen_bool(0.2) {
+                options
+                    .faults
+                    .fail_ni(topo.nis()[rng.gen_range(0..topo.ni_count())]);
+            }
+            let hops = HopTable::new(topo.degraded(&options.faults));
+            let mut nis = topo.nis().to_vec();
+            nis.shuffle(&mut rng);
+            let mut placement: BTreeMap<CoreId, NodeId> =
+                soc.cores().into_iter().zip(nis).collect();
+            let mut cache = RouteCache::new(&merged);
+            for step in 0..8 {
+                // Odd steps keep the placement, so the cache hits.
+                let core = CoreId::new(rng.gen_range(0..cores));
+                let target = topo.nis()[rng.gen_range(0..topo.ni_count())];
+                if step % 2 == 0 && placement.get(&core).is_some_and(|&ni| ni != target) {
+                    swap(&mut placement, core, target);
+                }
+                let affected: Vec<bool> = (0..merged.len()).map(|_| rng.gen_bool(0.7)).collect();
+                let bound = |g: usize| {
+                    let only: Vec<bool> = (0..merged.len()).map(|h| h == g).collect();
+                    hop_bound(&hops, &merged, &only, &placement)
+                };
+                let unjoined_group = (0..merged.len()).any(|g| affected[g] && bound(g).is_none());
+                let delta = reroute_preset_groups(
+                    &soc, &groups, &topo, spec, &options, &placement, &affected, &merged,
+                    &mut cache,
+                );
+                let Ok(delta) = delta else {
+                    unjoined += usize::from(unjoined_group);
+                    continue;
+                };
+                assert!(
+                    !unjoined_group,
+                    "seed {seed} step {step}: an unjoined pair routed"
+                );
+                for (g, config) in &delta.configs {
+                    let bound = bound(*g).expect("a routed group's pairs are joined");
+                    assert!(
+                        config.cost_bytes_hops() >= bound,
+                        "seed {seed} step {step}: group {g} costs less than its bound"
+                    );
+                    tight += usize::from(config.cost_bytes_hops() == bound);
+                    checked += 1;
+                }
+            }
+        }
+        let hits = crate::perf::snapshot().since(&before).route_cache_hits;
+        // Most configs meet their bound; a few detour round loaded links.
+        assert!(
+            checked >= 400 && tight >= 100 && tight < checked,
+            "{checked} checked, {tight} tight"
+        );
+        assert!(
+            unjoined >= 20 && hits >= 50,
+            "{unjoined} unjoined, {hits} hits"
+        );
     }
 
     /// `groups_touching` marks exactly the groups whose core set meets

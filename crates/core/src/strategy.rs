@@ -21,12 +21,17 @@
 //!   itself (weight order, swap, touched groups) is the one in
 //!   `seat.rs` that admission, annealing and heal also make.
 //!
-//! Candidate placements are routed through [`reroute_preset_groups`]
-//! and its [`RouteCache`], so a group whose placement
-//! signature was already routed is taken from the cache
-//! (`route_cache_hits` in [`crate::perf`]) instead of re-routed. A move
-//! is priced exactly from the delta alone (the current cost, minus the
-//! replaced configs' cost, plus the new configs' cost), and only an
+//! A move improves only when the configs it re-routes cost less than
+//! the configs they replace. Before routing a move, the search bounds
+//! it: Σ bandwidth × surviving hop distance over the merged flows of
+//! the groups the move touches, read from an NI × NI hop table built
+//! with one BFS per NI per search (`seat::hop_bound`). No route is
+//! shorter than that distance, so a move whose bound reaches the
+//! replaced cost is rolled back unrouted; the gate skips only moves the
+//! exact pricing would reject, and changes no outcome. The rest are
+//! routed through [`reroute_preset_groups`] and its [`RouteCache`],
+//! priced exactly from the delta alone (the replaced configs' cost,
+//! kept per group, against the new configs' cost), and only an
 //! improving move is spliced into the current solution.
 //! Everything is a pure function of its inputs — no RNG, no wall clock —
 //! so strategy outputs are byte-identical at any `noc-par` width
@@ -47,8 +52,10 @@ use crate::error::MapError;
 use crate::mapper::{preset_twin, reroute_preset_groups, MapperOptions, RouteCache};
 use crate::merge::merged_group_flows;
 use crate::remap::RemapConfig;
-use crate::result::MappingSolution;
-use crate::seat::{core_weights, groups_touching, heaviest_first, occupant, swap};
+use crate::result::{GroupConfig, MappingSolution};
+use crate::seat::{
+    core_weights, groups_touching, heaviest_first, hop_bound, occupant, swap, HopTable,
+};
 
 /// Which mapping strategy a flow (or the `frontier` suite) runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
@@ -154,20 +161,23 @@ fn displacement_search(
     greedy: MappingSolution,
 ) -> Result<StrategyOutcome, MapError> {
     let merged = merged_group_flows(soc, groups);
-    let rerouted = preset_twin(soc, groups, options, &greedy)?;
+    let mut current = preset_twin(soc, groups, options, &greedy)?;
     let mut cache = RouteCache::new(&merged);
-    cache.seed(&rerouted);
+    let hops = HopTable::new(current.topology().degraded(&options.faults));
 
-    let mut cores: Vec<CoreId> = rerouted.core_mapping().keys().copied().collect();
+    let mut cores: Vec<CoreId> = current.core_mapping().keys().copied().collect();
     heaviest_first(&mut cores, &core_weights(&merged));
     cores.truncate(DISPLACEMENT_SCAN_CORES);
-    let nis = rerouted.topology().nis().to_vec();
+    let nis = current.topology().nis().to_vec();
 
     let rounds = RemapConfig::default().rounds;
     let budget = displacement_eviction_budget();
     let mut evictions: u64 = 0;
-    let mut current = rerouted;
-    let mut cost = current.comm_cost_bytes_hops();
+    let mut group_cost: Vec<u128> = current
+        .group_configs()
+        .iter()
+        .map(GroupConfig::cost_bytes_hops)
+        .collect();
     let mut mapping = current.core_mapping().clone();
 
     'search: for _round in 0..rounds {
@@ -186,42 +196,47 @@ fn displacement_search(
                 }
                 swap(&mut mapping, a, target);
                 let affected = groups_touching(&merged, |c| c == a || Some(c) == evicted);
-                let delta = reroute_preset_groups(
-                    soc,
-                    groups,
-                    current.topology(),
-                    current.spec(),
-                    options,
-                    &mapping,
-                    &affected,
-                    &merged,
-                    &mut cache,
-                );
-                // The move's exact cost: the current cost with the
-                // re-routed groups' configs replaced.
-                let priced = delta.map(|delta| {
-                    let replaced: u128 = delta
-                        .configs
-                        .iter()
-                        .map(|(g, _)| current.group_config(*g).cost_bytes_hops())
-                        .sum();
-                    let added: u128 = delta.configs.iter().map(|(_, c)| c.cost_bytes_hops()).sum();
-                    (cost - replaced + added, delta)
+                let replaced: u128 = group_cost
+                    .iter()
+                    .zip(&affected)
+                    .filter(|&(_, &touched)| touched)
+                    .map(|(cost, _)| cost)
+                    .sum();
+                // The move improves only if its re-routed configs cost
+                // less than the ones they replace, and they cannot cost
+                // less than the hop bound: below it, route the move.
+                let may_improve = hop_bound(&hops, &merged, &affected, &mapping)
+                    .is_some_and(|bound| bound < replaced);
+                #[cfg(test)]
+                let may_improve = may_improve || tests::ungated();
+                let delta = may_improve.then(|| {
+                    reroute_preset_groups(
+                        soc,
+                        groups,
+                        current.topology(),
+                        current.spec(),
+                        options,
+                        &mapping,
+                        &affected,
+                        &merged,
+                        &mut cache,
+                    )
                 });
-                match priced {
-                    Ok((moved_cost, delta)) if moved_cost < cost => {
+                if let Some(Ok(delta)) = delta {
+                    let added: u128 = delta.configs.iter().map(|(_, c)| c.cost_bytes_hops()).sum();
+                    if added < replaced {
+                        for (g, config) in &delta.configs {
+                            group_cost[*g] = config.cost_bytes_hops();
+                        }
                         current.splice(delta);
-                        cost = moved_cost;
                         improved = true;
                         if evicted.is_some() {
                             evictions += 1;
                         }
                         break;
                     }
-                    _ => {
-                        swap(&mut mapping, a, ni_a);
-                    }
                 }
+                swap(&mut mapping, a, ni_a);
             }
         }
         if !improved {
@@ -229,7 +244,7 @@ fn displacement_search(
         }
     }
 
-    let solution = if greedy.comm_cost_bytes_hops() <= cost {
+    let solution = if greedy.comm_cost_bytes_hops() <= current.comm_cost_bytes_hops() {
         greedy
     } else {
         current
@@ -244,8 +259,23 @@ fn displacement_search(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapper::map_multi_usecase;
     use noc_topology::units::{Bandwidth, Latency};
+    use noc_topology::MeshBuilder;
     use noc_usecase::spec::UseCaseBuilder;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::cell::Cell;
+    use std::collections::BTreeSet;
+
+    thread_local! {
+        /// Set while a test wants every candidate move routed, bound or not.
+        static UNGATED: Cell<bool> = const { Cell::new(false) };
+    }
+
+    pub(super) fn ungated() -> bool {
+        UNGATED.with(Cell::get)
+    }
 
     fn c(i: u32) -> CoreId {
         CoreId::new(i)
@@ -345,5 +375,95 @@ mod tests {
         );
         outcome.solution.verify(&soc, &groups).unwrap();
         assert!(outcome.evictions <= outcome.eviction_budget);
+    }
+
+    /// The hop bound only skips moves that could not improve: on random
+    /// SoCs over intact and faulted meshes, with latency bounds,
+    /// displacement returns the same outcome with every candidate
+    /// routed, and the gate skips most of those routes.
+    #[test]
+    fn the_hop_bound_gate_changes_no_outcome() {
+        let spec = TdmaSpec::paper_default();
+        let (mut searched, mut faulted, mut improved) = (0, 0, 0);
+        let (mut gated_routes, mut ungated_routes) = (0, 0);
+        for seed in 0..64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let (rows, cols) = (rng.gen_range(2..=3u16), rng.gen_range(2..=4u16));
+            let topo = MeshBuilder::new(rows, cols)
+                .nis_per_switch(rng.gen_range(1..=2u16))
+                .build()
+                .unwrap()
+                .into_topology();
+            let cores = rng.gen_range(4..=topo.ni_count().min(12) as u32);
+            let mut soc = SocSpec::new("random");
+            let use_cases = rng.gen_range(1..=5usize);
+            for u in 0..use_cases {
+                let mut b = UseCaseBuilder::new(format!("u{u}"));
+                let mut pairs = BTreeSet::new();
+                while pairs.len() < rng.gen_range(1..=5usize) {
+                    let (src, dst) = (rng.gen_range(0..cores), rng.gen_range(0..cores));
+                    if src != dst && pairs.insert((src, dst)) {
+                        let latency = if rng.gen_bool(0.2) {
+                            Latency::from_ns(rng.gen_range(6..40u64))
+                        } else {
+                            Latency::UNCONSTRAINED
+                        };
+                        let mbps = rng.gen_range(10..900u64);
+                        b = b
+                            .flow(c(src), c(dst), Bandwidth::from_mbps(mbps), latency)
+                            .unwrap();
+                    }
+                }
+                soc.add_use_case(b.build());
+            }
+            let groups = if rng.gen_bool(0.25) {
+                UseCaseGroups::single_group(use_cases)
+            } else {
+                UseCaseGroups::singletons(use_cases)
+            };
+            let mut options = MapperOptions::default();
+            if rng.gen_bool(0.5) {
+                for _ in 0..rng.gen_range(1..=3) {
+                    let link = topo.links()[rng.gen_range(0..topo.link_count())].id();
+                    options.faults.fail_link(link);
+                }
+                if rng.gen_bool(0.3) {
+                    options
+                        .faults
+                        .fail_ni(topo.nis()[rng.gen_range(0..topo.ni_count())]);
+                }
+            }
+            let Ok(greedy) = map_multi_usecase(&soc, &groups, &topo, spec, &options) else {
+                continue;
+            };
+            let search = |ungated: bool| {
+                UNGATED.with(|u| u.set(ungated));
+                let before = crate::perf::snapshot();
+                let outcome = displacement_search(&soc, &groups, &options, greedy.clone());
+                UNGATED.with(|u| u.set(false));
+                (
+                    outcome,
+                    crate::perf::snapshot().since(&before).groups_rerouted,
+                )
+            };
+            let (gated, routed) = search(false);
+            let (ungated, routed_ungated) = search(true);
+            assert_eq!(gated, ungated, "seed {seed}: the gate changed the outcome");
+            let cost = gated.as_ref().map(|o| o.solution.comm_cost_bytes_hops());
+            improved += usize::from(cost.is_ok_and(|cost| cost < greedy.comm_cost_bytes_hops()));
+            assert!(routed <= routed_ungated, "seed {seed}");
+            gated_routes += routed;
+            ungated_routes += routed_ungated;
+            searched += 1;
+            faulted += usize::from(!options.faults.is_empty());
+        }
+        assert!(
+            searched >= 40 && faulted >= 16 && improved >= 10,
+            "{searched} searched, {faulted} faulted, {improved} improved"
+        );
+        assert!(
+            gated_routes * 2 < ungated_routes,
+            "the gate skipped little: {gated_routes} of {ungated_routes} group re-routes"
+        );
     }
 }
