@@ -91,6 +91,7 @@ use noc_flow::render::render;
 use noc_flow::{out, outln, perf_json, registry, run_spec, ExperimentSpec, FlowError};
 use noc_usecase::spec::SocSpec;
 use noc_usecase::UseCaseGroups;
+use nocmap::anneal::AnnealConfig;
 use nocmap::emit::emit_text;
 use nocmap::report::SolutionReport;
 use nocmap::strategy::StrategyKind;
@@ -189,14 +190,11 @@ fn cmd_design(mut args: Vec<String>) -> Result<(), FlowError> {
             .ok_or_else(|| {
                 FlowError::Usage(format!("invalid --anneal '{spec}' (expected ITERxCHAINS)"))
             })?;
-        let defaults = nocmap::anneal::AnnealConfig::default();
-        config.stages.push(StageConfig::Anneal {
+        config.stages.push(StageConfig::Anneal(AnnealConfig {
             iterations,
             chains,
-            seed: defaults.seed,
-            initial_temperature: defaults.initial_temperature,
-            cooling: defaults.cooling,
-        });
+            ..Default::default()
+        }));
     }
     config.stages.push(StageConfig::Verify);
     if compare_wc {
@@ -205,7 +203,7 @@ fn cmd_design(mut args: Vec<String>) -> Result<(), FlowError> {
 
     let groups = UseCaseGroups::singletons(soc.use_case_count());
     let t0 = std::time::Instant::now();
-    let ctx = config.build().run(&soc, &groups)?;
+    let ctx = config.run(&soc, &groups)?;
     let elapsed = t0.elapsed();
     let solution = ctx.solution()?;
 
@@ -246,13 +244,14 @@ fn cmd_design(mut args: Vec<String>) -> Result<(), FlowError> {
 }
 
 /// Runs a flow config on the SoC spec at `soc_path` and prints the
-/// stage trace, the analytic report, and summaries of whatever
+/// stages it ran, the analytic report, and summaries of whatever
 /// artifacts the stages produced.
 fn run_config(config: &FlowConfig, soc_path: &str) -> Result<(), FlowError> {
     let soc = read_soc(soc_path)?;
     let groups = UseCaseGroups::singletons(soc.use_case_count());
-    let ctx = config.build().run(&soc, &groups)?;
-    outln!("flow: {}", ctx.trace.join(" -> "));
+    let ctx = config.run(&soc, &groups)?;
+    let names: Vec<&str> = config.stages.iter().map(StageConfig::name).collect();
+    outln!("flow: {}", names.join(" -> "));
     let solution = ctx.solution()?;
     outln!("{}", SolutionReport::analyze(solution));
     if let Some(wc) = &ctx.wc {

@@ -143,6 +143,35 @@ fn nocmap_cli_flow_run_executes_the_checked_in_spec() {
     assert_eq!(by_name, golden("fig6a.txt"));
 }
 
+/// A `flow` document with every stage (displacement map, worst-case,
+/// anneal, remap, verify, simulate) runs on the generated D1 spec and
+/// prints the pinned report at 1 and 4 workers.
+#[test]
+fn nocmap_cli_flow_run_executes_every_stage_of_a_flow_document() {
+    let cli = env!("CARGO_BIN_EXE_nocmap_cli");
+    let dir = std::env::temp_dir().join(format!("noc_flow_every_stage_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let soc = dir.join("d1.spec");
+    std::fs::write(&soc, run(cli, &["gen", "d1"])).unwrap();
+    let flow = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs/flow_every_stage.flow");
+    for threads in ["1", "4"] {
+        let out = run(
+            cli,
+            &[
+                "--threads",
+                threads,
+                "flow",
+                "run",
+                flow.to_str().unwrap(),
+                "--spec",
+                soc.to_str().unwrap(),
+            ],
+        );
+        assert_eq!(out, golden("flow_every_stage.txt"), "--threads {threads}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn nocmap_cli_flow_show_round_trips_through_flow_run() {
     // `flow show` output is itself a runnable spec file.

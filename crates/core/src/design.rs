@@ -23,15 +23,15 @@ pub enum FabricKind {
     Torus,
 }
 
+/// Maximum ports a switch may have: the crossbar arity limit of the
+/// target library (Æthereal routers are small-arity). The growth loop
+/// only proposes fabrics whose switches respect it, which is what keeps
+/// a single huge switch from trivially "solving" every design.
+const MAX_SWITCH_PORTS: usize = 10;
+
 /// Builds the candidate fabric for a given size: near-square
 /// `rows × cols` with just enough NIs per switch to host all cores.
-fn candidate_mesh(
-    rows: u16,
-    cols: u16,
-    cores: usize,
-    max_ports: usize,
-    kind: FabricKind,
-) -> Option<Mesh> {
+fn candidate_mesh(rows: u16, cols: u16, cores: usize, kind: FabricKind) -> Option<Mesh> {
     let switches = rows as usize * cols as usize;
     let nis = cores.div_ceil(switches).max(1);
     // The busiest switch has up to `mesh_degree` inter-switch ports plus
@@ -45,7 +45,7 @@ fn candidate_mesh(
         }
     };
     let mesh_degree = dim_degree(rows) + dim_degree(cols);
-    if nis + mesh_degree > max_ports {
+    if nis + mesh_degree > MAX_SWITCH_PORTS {
         return None;
     }
     Some(
@@ -107,7 +107,7 @@ pub fn design_smallest_fabric(
         if switches > max_switches {
             break;
         }
-        let Some(mesh) = candidate_mesh(rows, cols, cores, options.max_switch_ports, kind) else {
+        let Some(mesh) = candidate_mesh(rows, cols, cores, kind) else {
             continue;
         };
         match map_multi_usecase(soc, groups, mesh.topology(), spec, options) {
@@ -356,7 +356,7 @@ mod tests {
     fn min_frequency_bisects() {
         let soc = ring_soc(200);
         let groups = UseCaseGroups::singletons(1);
-        let mesh = candidate_mesh(1, 1, 8, 10, FabricKind::Mesh)
+        let mesh = candidate_mesh(1, 1, 8, FabricKind::Mesh)
             .unwrap()
             .into_topology();
         let (f, sol) = min_frequency(
@@ -392,7 +392,7 @@ mod tests {
         let err = min_frequency(
             &soc,
             &UseCaseGroups::singletons(1),
-            &candidate_mesh(1, 1, 8, 10, FabricKind::Mesh)
+            &candidate_mesh(1, 1, 8, FabricKind::Mesh)
                 .unwrap()
                 .into_topology(),
             TdmaSpec::paper_default(),

@@ -34,31 +34,28 @@ pub enum Placement {
     Preset(std::collections::BTreeMap<CoreId, NodeId>),
 }
 
+/// Slot-selection policy of every GT reservation.
+const SLOT_POLICY: SlotPolicy = SlotPolicy::Spread;
+
+/// Congestion weight of the path cost, in thousandths of a hop for a
+/// fully-loaded link.
+const LOAD_PENALTY_MILLIS: u64 = 500;
+
+/// How many times path selection is retried (banning the bottleneck
+/// link) when contention-free slot allocation fails on the chosen path.
+const PATH_RETRIES: usize = 4;
+
 /// Tunable knobs of the mapping heuristic. [`MapperOptions::default`] is
 /// the paper's configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MapperOptions {
-    /// Slot-selection policy for GT reservations.
-    pub slot_policy: SlotPolicy,
     /// Process pairs in decreasing order of bandwidth (step 2 of
     /// Algorithm 2). Disabling this is the `ablation_order` baseline.
     pub sort_by_bandwidth: bool,
     /// Prefer pairs whose endpoints are already mapped (step 3).
     pub prefer_mapped: bool,
-    /// Congestion weight of the path cost, in thousandths of a hop for a
-    /// fully-loaded link.
-    pub load_penalty_millis: u64,
-    /// How many times to retry path selection (banning the bottleneck
-    /// link) when contention-free slot allocation fails on the chosen
-    /// path.
-    pub path_retries: usize,
     /// Core-placement scheme.
     pub placement: Placement,
-    /// Maximum ports a switch may have (crossbar arity limit of the
-    /// target library; Æthereal routers are small-arity). The design flow
-    /// only proposes meshes whose switches respect this, which is what
-    /// keeps a single huge switch from trivially "solving" every design.
-    pub max_switch_ports: usize,
     /// Failed links / NIs the mapper must route around (empty by
     /// default). Failed links (and links incident to failed NIs) are
     /// banned from every path search; failed NIs are never offered as
@@ -70,13 +67,9 @@ pub struct MapperOptions {
 impl Default for MapperOptions {
     fn default() -> Self {
         MapperOptions {
-            slot_policy: SlotPolicy::Spread,
             sort_by_bandwidth: true,
             prefer_mapped: true,
-            load_penalty_millis: 500,
-            path_retries: 4,
             placement: Placement::Unified,
-            max_switch_ports: 10,
             faults: FaultSet::default(),
         }
     }
@@ -130,7 +123,6 @@ impl GroupState {
 struct MapState<'a> {
     topo: &'a Topology,
     spec: TdmaSpec,
-    options: &'a MapperOptions,
     /// `None` until the group first routes.
     group_states: Vec<Mutex<Option<GroupState>>>,
     core_to_ni: BTreeMap<CoreId, NodeId>,
@@ -189,13 +181,13 @@ impl<'a> MapState<'a> {
         let topo = self.topo;
         let mut banned: BTreeSet<LinkId> = self.banned_base.clone();
 
-        for _attempt in 0..=self.options.path_retries {
+        for _attempt in 0..=PATH_RETRIES {
             let query = PathQuery::new(
                 topo,
                 &gs.slots,
                 needed,
                 max_hops,
-                self.options.load_penalty_millis,
+                LOAD_PENALTY_MILLIS,
                 &banned,
             );
             let src_ni = self.core_to_ni.get(&src).copied();
@@ -228,10 +220,7 @@ impl<'a> MapState<'a> {
             let mut alloc = None;
             let mut k = needed;
             while k <= self.spec.slots() {
-                match gs
-                    .slots
-                    .find_base_slots(&found.links, k, self.options.slot_policy)
-                {
+                match gs.slots.find_base_slots(&found.links, k, SLOT_POLICY) {
                     None => break,
                     Some(slots) => {
                         let wc = self.spec.worst_case_latency(&slots, found.hops());
@@ -695,7 +684,6 @@ fn run_mapping(
     let mut state = MapState {
         topo,
         spec,
-        options,
         group_states: (0..groups.group_count())
             .map(|_| Mutex::new(None))
             .collect(),

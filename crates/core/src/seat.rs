@@ -30,9 +30,13 @@ pub(crate) fn free_nis(
 
 /// Seats `core` on the NI of `free` with the lowest sum of bandwidth ×
 /// surviving hop distance to the partners `placement` already seats,
-/// over every flow of `flows` the core takes part in. An unreachable
-/// partner counts as `usize::MAX` hops and the sum saturates; ties go to
-/// the earliest NI in `free`. The NI moves from `free` into `placement`.
+/// over every flow of `flows` the core takes part in. Each distance runs
+/// in its flow's direction, from the candidate NI to a receiving partner
+/// and from a sending partner to the candidate: links are directed, so
+/// under a fault an NI may reach a partner it cannot hear. An
+/// unreachable partner counts as `usize::MAX` hops and the sum
+/// saturates; ties go to the earliest NI in `free`. The NI moves from
+/// `free` into `placement`.
 ///
 /// # Panics
 ///
@@ -47,15 +51,15 @@ pub(crate) fn seat(
     let cost = |ni: NodeId| {
         let mut cost: u128 = 0;
         for (&(s, d), flow) in flows.iter().flatten() {
-            let partner = if s == core {
-                d
+            let hops = if s == core {
+                placement.get(&d).map(|&pni| view.hop_distance(ni, pni))
             } else if d == core {
-                s
+                placement.get(&s).map(|&pni| view.hop_distance(pni, ni))
             } else {
                 continue;
             };
-            if let Some(&pni) = placement.get(&partner) {
-                let hops = view.hop_distance(ni, pni).unwrap_or(usize::MAX) as u128;
+            if let Some(hops) = hops {
+                let hops = hops.unwrap_or(usize::MAX) as u128;
                 let bw = flow.bandwidth.as_bytes_per_sec() as u128;
                 cost = cost.saturating_add(bw.saturating_mul(hops));
             }
@@ -248,6 +252,35 @@ mod tests {
         let first = free[0];
         seat(view, &heavy, &mut placement, &mut free, c(3));
         assert_eq!(placement[&c(3)], first);
+    }
+
+    /// A receiver is priced by the distance from its sender to it: with
+    /// the links into the sender's neighbour NI failed, that NI can still
+    /// send to the sender in two hops, but cannot hear it, so the
+    /// receiver goes to the nearest NI that can.
+    #[test]
+    fn seats_a_receiver_where_its_sender_reaches_it() {
+        let topo = MeshBuilder::new(1, 3)
+            .nis_per_switch(2)
+            .build()
+            .unwrap()
+            .into_topology();
+        let nis = topo.nis().to_vec();
+        let c = CoreId::new;
+        let mut faults = FaultSet::new();
+        for &l in topo.incoming(nis[1]) {
+            faults.fail_link(l);
+        }
+        let view = topo.degraded(&faults);
+        assert_eq!(view.hop_distance(nis[1], nis[0]), Ok(2));
+        assert!(view.hop_distance(nis[0], nis[1]).is_err());
+        let flows = [BTreeMap::from([((c(0), c(1)), flow(100))])];
+        let mut placement = BTreeMap::from([(c(0), nis[0])]);
+        let mut free = free_nis(view, &placement);
+        assert_eq!(free[0], nis[1]);
+        seat(view, &flows, &mut placement, &mut free, c(1));
+        assert_eq!(placement[&c(1)], nis[2]);
+        assert_eq!(view.hop_distance(nis[0], nis[2]), Ok(3));
     }
 
     /// A swap keeps the placement injective and moves exactly the mover

@@ -1,11 +1,12 @@
-//! Serde-serializable flow and experiment configurations, with a
+//! Flow and experiment configurations as data, with a
 //! line-oriented text format.
 //!
 //! Sweeps are **data**: an [`ExperimentSpec`] names a kind (comparison,
 //! area–frequency, DVS, …) and lists its axes (benchmarks × points ×
 //! traffic models); [`crate::run_spec`] executes any spec through the
 //! pipeline API. A [`FlowConfig`] is the single-design analogue: the
-//! stage list plus the shared knobs of one [`crate::DesignFlow`].
+//! stage list plus the shared knobs of one design flow, which
+//! [`FlowConfig::run`] executes.
 //!
 //! The wire format is the hand-rolled text grammar below (the same
 //! approach as `noc_usecase::textio`), which round-trips every spec
@@ -31,14 +32,11 @@ use std::fmt::Write as _;
 
 use noc_benchgen::{BottleneckConfig, SocDesign, SpreadConfig};
 use noc_sim::TrafficModel;
-use noc_tdma::TdmaSpec;
-use noc_topology::units::{Frequency, LinkWidth};
 use noc_usecase::spec::SocSpec;
 use nocmap::anneal::AnnealConfig;
 use nocmap::remap::RemapConfig;
 use nocmap::strategy::StrategyKind;
 
-use crate::builder::{DesignFlow, FlowBuilder};
 use crate::FlowError;
 
 /// A benchmark generator reference: which spec to synthesize, from
@@ -319,7 +317,9 @@ pub struct ExperimentSpec {
     pub kind: ExperimentKind,
 }
 
-/// One stage entry of a [`FlowConfig`].
+/// One stage of a design flow: what it does and with which settings.
+/// [`StageConfig::run`] executes it on a
+/// [`FlowContext`](crate::FlowContext).
 #[derive(Debug, Clone, PartialEq)]
 pub enum StageConfig {
     /// Smallest-mesh mapping, optionally refined by a portfolio
@@ -332,26 +332,12 @@ pub enum StageConfig {
     },
     /// Worst-case baseline.
     WorstCase,
-    /// Annealing refinement.
-    Anneal {
-        /// Proposed moves.
-        iterations: usize,
-        /// Independent chains.
-        chains: usize,
-        /// Base seed.
-        seed: u64,
-        /// Initial temperature (cost units).
-        initial_temperature: f64,
-        /// Geometric cooling factor.
-        cooling: f64,
-    },
-    /// Per-group remapping refinement.
-    Remap {
-        /// Cores a group may move.
-        max_moved_cores: usize,
-        /// Hill-climb rounds.
-        rounds: usize,
-    },
+    /// Annealing refinement (`stage anneal ITERATIONS CHAINS [SEED
+    /// TEMPERATURE COOLING]`).
+    Anneal(AnnealConfig),
+    /// Per-group remapping refinement (`stage remap MAX_MOVED_CORES
+    /// ROUNDS`).
+    Remap(RemapConfig),
     /// Analytical verification.
     Verify,
     /// Cycle-level simulation of every use-case.
@@ -370,8 +356,8 @@ impl StageConfig {
     }
 }
 
-/// Declarative form of one [`DesignFlow`]: the shared knobs plus the
-/// stage list, as data.
+/// Declarative form of one design flow: the shared knobs plus the stage
+/// list, as data. [`FlowConfig::run`] executes it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowConfig {
     /// Config name (informational).
@@ -384,8 +370,6 @@ pub struct FlowConfig {
     pub max_switches: usize,
     /// `noc-par` worker pin (`None` = ambient policy).
     pub threads: Option<usize>,
-    /// Base RNG seed.
-    pub seed: u64,
     /// Stages in execution order.
     pub stages: Vec<StageConfig>,
 }
@@ -400,53 +384,8 @@ impl FlowConfig {
             freq_mhz: 500,
             max_switches: 400,
             threads: None,
-            seed: 2006,
             stages: vec![StageConfig::map(), StageConfig::Verify],
         }
-    }
-
-    /// Assembles the executable [`DesignFlow`] this config describes.
-    pub fn build(&self) -> DesignFlow {
-        let spec = TdmaSpec::new(
-            self.slots,
-            Frequency::from_mhz(self.freq_mhz),
-            LinkWidth::BITS_32,
-        );
-        let mut b = FlowBuilder::new(spec)
-            .max_switches(self.max_switches)
-            .threads(self.threads)
-            .seed(self.seed);
-        for stage in &self.stages {
-            b = match *stage {
-                // `map_strategy` with the greedy default is exactly
-                // `map()` — one arm keeps every spelling uniform.
-                StageConfig::Map { strategy } => b.map_strategy(strategy),
-                StageConfig::WorstCase => b.worst_case(),
-                StageConfig::Anneal {
-                    iterations,
-                    chains,
-                    seed,
-                    initial_temperature,
-                    cooling,
-                } => b.anneal(AnnealConfig {
-                    iterations,
-                    chains,
-                    seed,
-                    initial_temperature,
-                    cooling,
-                }),
-                StageConfig::Remap {
-                    max_moved_cores,
-                    rounds,
-                } => b.remap(RemapConfig {
-                    max_moved_cores,
-                    rounds,
-                }),
-                StageConfig::Verify => b.verify(),
-                StageConfig::Simulate { cycles } => b.simulate(cycles),
-            };
-        }
-        b.build()
     }
 }
 
@@ -673,7 +612,6 @@ pub fn flow_to_text(cfg: &FlowConfig) -> String {
     if let Some(t) = cfg.threads {
         let _ = writeln!(out, "threads {t}");
     }
-    let _ = writeln!(out, "seed {}", cfg.seed);
     for s in &cfg.stages {
         match s {
             StageConfig::Map { strategy } => {
@@ -691,23 +629,15 @@ pub fn flow_to_text(cfg: &FlowConfig) -> String {
             StageConfig::WorstCase => {
                 let _ = writeln!(out, "stage worst_case");
             }
-            StageConfig::Anneal {
-                iterations,
-                chains,
-                seed,
-                initial_temperature,
-                cooling,
-            } => {
+            StageConfig::Anneal(a) => {
                 let _ = writeln!(
                     out,
-                    "stage anneal {iterations} {chains} {seed} {initial_temperature} {cooling}"
+                    "stage anneal {} {} {} {} {}",
+                    a.iterations, a.chains, a.seed, a.initial_temperature, a.cooling
                 );
             }
-            StageConfig::Remap {
-                max_moved_cores,
-                rounds,
-            } => {
-                let _ = writeln!(out, "stage remap {max_moved_cores} {rounds}");
+            StageConfig::Remap(r) => {
+                let _ = writeln!(out, "stage remap {} {}", r.max_moved_cores, r.rounds);
             }
             StageConfig::Verify => {
                 let _ = writeln!(out, "stage verify");
@@ -1135,7 +1065,6 @@ fn flow_body(name: String, lines: &mut Lines<'_>) -> Result<FlowConfig, FlowErro
             "freq_mhz" => cfg.freq_mhz = parse_num(line, "frequency", value(1)?)?,
             "max_switches" => cfg.max_switches = parse_num(line, "switch cap", value(1)?)?,
             "threads" => cfg.threads = Some(parse_num(line, "threads", value(1)?)?),
-            "seed" => cfg.seed = parse_num(line, "seed", value(1)?)?,
             "stage" => {
                 let stage = match value(1)? {
                     "map" => StageConfig::Map {
@@ -1149,7 +1078,7 @@ fn flow_body(name: String, lines: &mut Lines<'_>) -> Result<FlowConfig, FlowErro
                     "worst_case" => StageConfig::WorstCase,
                     "anneal" => {
                         let d = AnnealConfig::default();
-                        StageConfig::Anneal {
+                        StageConfig::Anneal(AnnealConfig {
                             iterations: parse_num(line, "iterations", value(2)?)?,
                             chains: parse_num(line, "chains", value(3)?)?,
                             seed: match toks.get(4) {
@@ -1164,12 +1093,12 @@ fn flow_body(name: String, lines: &mut Lines<'_>) -> Result<FlowConfig, FlowErro
                                 Some(t) => parse_num(line, "cooling", t)?,
                                 None => d.cooling,
                             },
-                        }
+                        })
                     }
-                    "remap" => StageConfig::Remap {
+                    "remap" => StageConfig::Remap(RemapConfig {
                         max_moved_cores: parse_num(line, "moved cores", value(2)?)?,
                         rounds: parse_num(line, "rounds", value(3)?)?,
-                    },
+                    }),
                     "verify" => StageConfig::Verify,
                     "simulate" => StageConfig::Simulate {
                         cycles: parse_num(line, "cycles", value(2)?)?,
@@ -1219,21 +1148,20 @@ mod tests {
             freq_mhz: 650,
             max_switches: 100,
             threads: Some(4),
-            seed: 42,
             stages: vec![
                 StageConfig::map(),
                 StageConfig::WorstCase,
-                StageConfig::Anneal {
+                StageConfig::Anneal(AnnealConfig {
                     iterations: 50,
                     chains: 2,
                     seed: 9,
                     initial_temperature: 450.5,
                     cooling: 0.93,
-                },
-                StageConfig::Remap {
+                }),
+                StageConfig::Remap(RemapConfig {
                     max_moved_cores: 2,
                     rounds: 3,
-                },
+                }),
                 StageConfig::Verify,
                 StageConfig::Simulate { cycles: 2048 },
             ],
@@ -1249,6 +1177,14 @@ mod tests {
         assert_eq!(err, FlowError::parse(4, "unknown design 'd9'"));
         let err = spec_from_text("banana\n").unwrap_err();
         assert!(matches!(err, FlowError::Parse { line: 1, .. }));
+    }
+
+    /// A flow has no seed of its own (`stage anneal` carries one), so a
+    /// `seed` line is an unknown keyword, reported at its line.
+    #[test]
+    fn flow_seed_line_fails_at_its_line() {
+        let err = flow_from_text("flow x\nstage map\nseed 2006\nstage verify\n").unwrap_err();
+        assert_eq!(err, FlowError::parse(3, "unknown keyword 'seed'"));
     }
 
     #[test]

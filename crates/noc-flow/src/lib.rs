@@ -6,20 +6,21 @@
 //! placement (annealing, per-group remapping), verify the TDMA
 //! configuration analytically, then replay it on the cycle-level
 //! simulator. Before this crate, every caller re-wired those phases by
-//! hand from free functions; here they are [`Stage`]s assembled by a
-//! [`FlowBuilder`] into a deterministic [`DesignFlow`], and whole
-//! evaluation sweeps (benchmark × axis × traffic model) are declared as
-//! data — an [`ExperimentSpec`] executed by one generic runner
-//! ([`run_spec`]).
+//! hand from free functions; here each phase is a [`StageConfig`] that
+//! runs itself on a [`FlowContext`], a [`FlowConfig`] lists the stages
+//! of one design flow, and whole evaluation sweeps (benchmark × axis ×
+//! traffic model) are declared as data — an [`ExperimentSpec`] executed
+//! by one generic runner ([`run_spec`]).
 //!
 //! # Layers
 //!
-//! * [`stage`] — [`Stage`] trait + the built-in map / worst-case /
-//!   anneal / remap / verify / simulate stages over a [`FlowContext`].
-//! * [`builder`] — [`FlowBuilder`] / [`DesignFlow`]: seed, `noc-par`
-//!   thread policy and per-stage configs threaded once.
-//! * [`config`] — [`FlowConfig`] / [`ExperimentSpec`] documents with a
-//!   line-oriented text format (`to_text` / `from_text`).
+//! * [`stage`] — [`StageConfig::run`] (map / worst-case / anneal /
+//!   remap / verify / simulate, one trace span each) over a
+//!   [`FlowContext`], and [`FlowConfig::run`]: TDMA parameters, growth
+//!   cap and `noc-par` thread pin applied once.
+//! * [`config`] — [`StageConfig`] / [`FlowConfig`] / [`ExperimentSpec`]
+//!   documents with a line-oriented text format (`to_text` /
+//!   `from_text`).
 //! * [`registry`] — every figure/table of the paper's evaluation
 //!   re-expressed as a named [`ExperimentSpec`].
 //! * [`runner`] — the generic executor: every suite returns one
@@ -41,8 +42,7 @@
 //! # Quick example
 //!
 //! ```
-//! use noc_flow::FlowBuilder;
-//! use noc_tdma::TdmaSpec;
+//! use noc_flow::{FlowConfig, StageConfig};
 //! use noc_topology::units::{Bandwidth, Latency};
 //! use noc_usecase::{spec::{CoreId, SocSpec, UseCaseBuilder}, UseCaseGroups};
 //!
@@ -54,12 +54,15 @@
 //!         .build(),
 //! );
 //! let groups = UseCaseGroups::singletons(1);
-//! let flow = FlowBuilder::new(TdmaSpec::paper_default())
-//!     .max_switches(64)
-//!     .map()
-//!     .verify()
-//!     .simulate(1024)
-//!     .build();
+//! let flow = FlowConfig {
+//!     max_switches: 64,
+//!     stages: vec![
+//!         StageConfig::map(),
+//!         StageConfig::Verify,
+//!         StageConfig::Simulate { cycles: 1024 },
+//!     ],
+//!     ..FlowConfig::design_defaults()
+//! };
 //! let outcome = flow.run(&soc, &groups)?;
 //! assert_eq!(outcome.solution()?.switch_count(), 1);
 //! assert_eq!(outcome.sim_reports.len(), 1);
@@ -70,7 +73,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod builder;
 pub mod cli;
 pub mod config;
 pub mod perf_json;
@@ -82,12 +84,11 @@ pub mod table;
 
 mod error;
 
-pub use builder::{DesignFlow, FlowBuilder};
 pub use config::{
     AblationVariant, BenchmarkSpec, BurstModel, ExperimentKind, ExperimentSpec, FlowConfig,
     LabeledBench, StageConfig,
 };
 pub use error::FlowError;
 pub use runner::run_spec;
-pub use stage::{FlowContext, Stage};
+pub use stage::FlowContext;
 pub use table::{Cell, Column, Table};

@@ -2,9 +2,10 @@
 //! through the pipeline API and returns its [`Table`].
 //!
 //! One executor per [`ExperimentKind`] evaluates its points through
-//! [`crate::DesignFlow`]s (or [`Stage`]s directly), parallelizes via
-//! `noc-par` with ordered reduction, and writes one row per point, so
-//! outputs are byte-identical at any thread count.
+//! [`StageConfig`]s run on a [`FlowContext`] (so traces keep a span per
+//! stage), parallelizes via `noc-par` with ordered reduction, and writes
+//! one row per point, so outputs are byte-identical at any thread
+//! count.
 
 use std::time::{Duration, Instant};
 
@@ -12,6 +13,7 @@ use noc_sim::{simulate_mixed, BestEffortFlow, Connection, TrafficModel};
 use noc_tdma::TdmaSpec;
 use noc_topology::units::{Bandwidth, Frequency, LinkWidth};
 use noc_topology::{AreaModel, DvsModel};
+use noc_usecase::spec::SocSpec;
 use noc_usecase::UseCaseGroups;
 use nocmap::anneal::AnnealConfig;
 use nocmap::design::FabricKind;
@@ -19,12 +21,12 @@ use nocmap::dvs::{dvs_savings, parallel_min_frequency};
 use nocmap::strategy::{design_with_strategy, StrategyKind};
 use nocmap::{MapperOptions, MappingSolution, Placement};
 
-use crate::builder::{DesignFlow, FlowBuilder};
 use crate::config::{
     AblationVariant, BenchmarkSpec, BurstModel, ExperimentKind, ExperimentSpec, LabeledBench,
+    StageConfig,
 };
 use crate::registry::MAX_SWITCHES;
-use crate::stage::{AnnealStage, Stage};
+use crate::stage::FlowContext;
 use crate::table::{Cell, Column, Table};
 use crate::FlowError;
 
@@ -49,23 +51,39 @@ impl Comparison {
     }
 }
 
-fn map_flow(spec: TdmaSpec, options: &MapperOptions) -> DesignFlow {
-    FlowBuilder::new(spec)
-        .options(options.clone())
-        .max_switches(MAX_SWITCHES)
-        .map()
-        .build()
+/// Runs `stages` in order on a fresh context for `soc` at the suites'
+/// growth cap.
+fn run_stages(
+    stages: &[StageConfig],
+    soc: &SocSpec,
+    groups: &UseCaseGroups,
+    spec: TdmaSpec,
+    options: &MapperOptions,
+) -> Result<FlowContext, FlowError> {
+    let mut ctx = FlowContext::new(
+        soc.clone(),
+        groups.clone(),
+        spec,
+        options.clone(),
+        MAX_SWITCHES,
+    );
+    for stage in stages {
+        stage.run(&mut ctx)?;
+    }
+    Ok(ctx)
 }
 
-fn wc_flow(spec: TdmaSpec, options: &MapperOptions) -> DesignFlow {
-    FlowBuilder::new(spec)
-        .options(options.clone())
-        .max_switches(MAX_SWITCHES)
-        .worst_case()
-        .build()
+/// The map stage alone: `soc`'s greedy smallest-mesh design.
+fn map_flow(
+    soc: &SocSpec,
+    groups: &UseCaseGroups,
+    spec: TdmaSpec,
+    options: &MapperOptions,
+) -> Result<FlowContext, FlowError> {
+    run_stages(&[StageConfig::map()], soc, groups, spec, options)
 }
 
-fn singleton_groups(soc: &noc_usecase::spec::SocSpec) -> UseCaseGroups {
+fn singleton_groups(soc: &SocSpec) -> UseCaseGroups {
     UseCaseGroups::singletons(soc.use_case_count())
 }
 
@@ -85,14 +103,12 @@ fn run_pair(label: &str, bench: &BenchmarkSpec) -> Comparison {
     let groups = singleton_groups(&soc);
     let (ours, wc) = noc_par::join(
         || {
-            map_flow(spec, &opts)
-                .run(&soc, &groups)
+            map_flow(&soc, &groups, spec, &opts)
                 .ok()
                 .and_then(|ctx| ctx.solution.map(|s| s.switch_count()))
         },
         || {
-            wc_flow(spec, &opts)
-                .run(&soc, &groups)
+            run_stages(&[StageConfig::WorstCase], &soc, &groups, spec, &opts)
                 .ok()
                 .and_then(|ctx| ctx.wc.and_then(|r| r.ok()).map(|s| s.switch_count()))
         },
@@ -146,9 +162,8 @@ fn area_frequency_table(title: &str, bench: &BenchmarkSpec, sweep_mhz: &[u64]) -
         ],
     );
     let rows = noc_par::par_map(sweep_mhz.to_vec(), |_, mhz| {
-        let f = Frequency::from_mhz(mhz);
-        let sol = map_flow(TdmaSpec::paper_default().at_frequency(f), &opts)
-            .run(&soc, &groups)
+        let spec = TdmaSpec::paper_default().at_frequency(Frequency::from_mhz(mhz));
+        let sol = map_flow(&soc, &groups, spec, &opts)
             .ok()
             .and_then(|ctx| ctx.solution);
         vec![
@@ -170,7 +185,7 @@ fn run_dvs(benches: &[LabeledBench], floor_mhz: u64) -> Result<Vec<(f64, Vec<f64
     noc_par::try_par_map(benches.to_vec(), |_, b| {
         let soc = b.bench.generate();
         let groups = singleton_groups(&soc);
-        let ctx = map_flow(spec, &opts).run(&soc, &groups)?;
+        let ctx = map_flow(&soc, &groups, spec, &opts)?;
         let sol = ctx.solution()?;
         let report = dvs_savings(
             &soc,
@@ -229,7 +244,7 @@ fn parallel_frequency_table(
     let groups = singleton_groups(&soc);
     let spec = TdmaSpec::paper_default();
     let opts = MapperOptions::default();
-    let ctx = map_flow(spec, &opts).run(&soc, &groups)?;
+    let ctx = map_flow(&soc, &groups, spec, &opts)?;
     let base = ctx.solution()?;
     let mut table = Table::new(
         title,
@@ -269,14 +284,12 @@ fn verify_table(title: &str, benches: &[LabeledBench], cycles: u64) -> Result<Ta
         // simulator — one pipeline, three stages. The reports' aggregates
         // are integer sums and an `and`, so reduction order cannot change
         // them.
-        let flow = FlowBuilder::new(spec)
-            .options(opts.clone())
-            .max_switches(MAX_SWITCHES)
-            .map()
-            .verify()
-            .simulate(cycles)
-            .build();
-        let ctx = flow.run(&soc, &groups)?;
+        let stages = [
+            StageConfig::map(),
+            StageConfig::Verify,
+            StageConfig::Simulate { cycles },
+        ];
+        let ctx = run_stages(&stages, &soc, &groups, spec, &opts)?;
         let sol = ctx.solution()?;
         let reports = &ctx.sim_reports;
         let contention: u64 = reports.iter().map(|r| r.contention_violations).sum();
@@ -335,8 +348,8 @@ fn ablation_table(title: &str, bench: &BenchmarkSpec, variants: &[AblationVarian
             AblationVariant::WithAnnealing { iterations, chains } => {
                 // Anneal on top of the paper-default base; a failed base
                 // map yields no row.
-                let mut ctx = map_flow(spec, &opts).run(&soc, &groups).ok()?;
-                let stage = AnnealStage(AnnealConfig {
+                let mut ctx = map_flow(&soc, &groups, spec, &opts).ok()?;
+                let stage = StageConfig::Anneal(AnnealConfig {
                     iterations: *iterations,
                     chains: *chains,
                     ..Default::default()
@@ -346,8 +359,7 @@ fn ablation_table(title: &str, bench: &BenchmarkSpec, variants: &[AblationVarian
                     Err(_) => None,
                 }
             }
-            _ => map_flow(spec, &opts)
-                .run(&soc, &groups)
+            _ => map_flow(&soc, &groups, spec, &opts)
                 .ok()
                 .and_then(|ctx| ctx.solution),
         };
@@ -386,10 +398,10 @@ fn runtime_table(title: &str, benches: &[LabeledBench], speedup: &[LabeledBench]
         let soc = b.bench.generate();
         let groups = singleton_groups(&soc);
         let t0 = Instant::now();
-        let _ = map_flow(spec, &opts).run(&soc, &groups);
+        let _ = map_flow(&soc, &groups, spec, &opts);
         let ours = t0.elapsed();
         let t1 = Instant::now();
-        let _ = wc_flow(spec, &opts).run(&soc, &groups);
+        let _ = run_stages(&[StageConfig::WorstCase], &soc, &groups, spec, &opts);
         table.push(vec![
             b.label.as_str().into(),
             ours.into(),
@@ -411,8 +423,7 @@ fn runtime_table(title: &str, benches: &[LabeledBench], speedup: &[LabeledBench]
         let groups = singleton_groups(&soc);
         let run = || {
             let t0 = Instant::now();
-            let sol = map_flow(spec, &opts)
-                .run(&soc, &groups)
+            let sol = map_flow(&soc, &groups, spec, &opts)
                 .ok()
                 .and_then(|ctx| ctx.solution);
             (t0.elapsed(), sol)
@@ -589,8 +600,7 @@ fn perf_table(title: &str, benches: &[LabeledBench], iterations: u64, chains: u6
         let groups = singleton_groups(&soc);
         let t0 = Instant::now();
         let (sol, map_ops) = counted(|| {
-            map_flow(spec, &opts)
-                .run(&soc, &groups)
+            map_flow(&soc, &groups, spec, &opts)
                 .ok()
                 .and_then(|ctx| ctx.solution)
         });
@@ -626,7 +636,7 @@ fn perf_table(title: &str, benches: &[LabeledBench], iterations: u64, chains: u6
         } else {
             let t2 = Instant::now();
             let installed = noc_obs::install(noc_obs::TraceMode::Ops);
-            let _ = map_flow(spec, &opts).run(&soc, &groups);
+            let _ = map_flow(&soc, &groups, spec, &opts);
             if installed {
                 let _ = noc_obs::finish();
             }
