@@ -45,26 +45,24 @@
 //! * `flow show NAME` — print a registry entry as a spec file (the
 //!   format `flow run` accepts).
 //! * `serve [--port P] [--rows R] [--cols C] [--nis N] [--batch B]
-//!   [--budget M] [--mode incremental|resolve] [--journal FILE]` — run
-//!   the `nocd` online mapping daemon: a TCP line-protocol server
-//!   admitting streaming use-case requests incrementally (see
-//!   `docs/SERVICE.md`). With `--journal`, every request line is logged
-//!   to FILE before it is applied and the engine is rebuilt from FILE
-//!   on startup, so a restarted daemon resumes with the state it
-//!   crashed with (see `docs/RESILIENCE.md`). Blocks until a client
-//!   sends `shutdown`.
+//!   [--budget M] [--journal FILE]` — run the `nocd` online mapping
+//!   daemon: a TCP line-protocol server admitting streaming use-case
+//!   requests incrementally (see `docs/SERVICE.md`). With `--journal`,
+//!   every request line is logged to FILE before it is applied and the
+//!   engine is rebuilt from FILE on startup, so a restarted daemon
+//!   resumes with the state it crashed with (see `docs/RESILIENCE.md`).
+//!   Blocks until a client sends `shutdown`.
 //! * `request --port P [--timeout-ms T] [--retries R] WORD...` — send
 //!   one protocol line to a running daemon and print the framed
 //!   response. `--timeout-ms` bounds the connect and each response
 //!   read; `--retries` retries failed attempts with deterministic
 //!   linear backoff.
 //! * `replay [--requests N] [--seed S] [--rows R] [--cols C] [--nis N]
-//!   [--batch B] [--budget M] [--mode incremental|resolve]
-//!   [--transcript]` — the in-process deterministic replay: drive a
-//!   seeded request trace through a fresh engine (no sockets), print
-//!   the final admission report, and (with `--transcript`) the full
-//!   request/response transcript — byte-identical at any `--threads`
-//!   setting.
+//!   [--batch B] [--budget M] [--transcript]` — the in-process
+//!   deterministic replay: drive a seeded request trace through a fresh
+//!   engine (no sockets), print the final admission report, and (with
+//!   `--transcript`) the full request/response transcript —
+//!   byte-identical at any `--threads` setting.
 //!
 //! All subcommands accept a global `--threads N` to pin the `noc-par`
 //! worker count (equivalent to `NOC_PAR_THREADS=N`; results are
@@ -104,10 +102,10 @@ fn usage() -> ExitCode {
          nocmap_cli flow {{run FILE|NAME|all... [--spec SOCFILE] [--json FILE [--label L]] \
          | list | show NAME}}\n  \
          nocmap_cli serve [--port P] [--rows R] [--cols C] [--nis N] [--batch B] \
-         [--budget M] [--mode incremental|resolve] [--journal FILE]\n  \
+         [--budget M] [--journal FILE]\n  \
          nocmap_cli request --port P [--timeout-ms T] [--retries R] WORD...\n  \
          nocmap_cli replay [--requests N] [--seed S] [--rows R] [--cols C] [--nis N] \
-         [--batch B] [--budget M] [--mode incremental|resolve] [--transcript]\n  \
+         [--batch B] [--budget M] [--transcript]\n  \
          (global: --threads N — pin the noc-par worker count;\n  \
           --trace FILE [--trace-mode ops|wall] — record a span trace)"
     );
@@ -125,14 +123,24 @@ fn read_soc(path: &str) -> Result<SocSpec, FlowError> {
     })
 }
 
+/// Fails on the first argument a subcommand left after taking its
+/// options and positionals, so a misspelt option is refused instead of
+/// running with its default.
+fn no_more(args: &[String]) -> Result<(), FlowError> {
+    match args.first() {
+        Some(arg) => Err(FlowError::Usage(format!("unexpected argument '{arg}'"))),
+        None => Ok(()),
+    }
+}
+
 fn cmd_gen(mut args: Vec<String>) -> Result<(), FlowError> {
     let use_cases = take_opt(&mut args, "--use-cases")?.unwrap_or(5) as usize;
     let seed = take_opt(&mut args, "--seed")?.unwrap_or(2006);
-    let which = args
-        .first()
-        .ok_or_else(|| FlowError::Usage("gen needs a benchmark kind".into()))?
-        .as_str();
-    let soc: SocSpec = match which {
+    let (which, rest) = args
+        .split_first()
+        .ok_or_else(|| FlowError::Usage("gen needs a benchmark kind".into()))?;
+    no_more(rest)?;
+    let soc: SocSpec = match which.as_str() {
         "d1" => SocDesign::D1.generate(),
         "d2" => SocDesign::D2.generate(),
         "d3" => SocDesign::D3.generate(),
@@ -160,9 +168,10 @@ fn cmd_design(mut args: Vec<String>) -> Result<(), FlowError> {
         None => StrategyKind::Greedy,
     };
     let emit_path = take_string(&mut args, "--emit")?;
-    let spec_path = args
-        .first()
+    let (spec_path, rest) = args
+        .split_first()
         .ok_or_else(|| FlowError::Usage("design needs a spec file".into()))?;
+    no_more(rest)?;
 
     let soc = read_soc(spec_path)?;
     outln!(
@@ -267,6 +276,18 @@ fn run_config(config: &FlowConfig, soc_path: &str) -> Result<(), FlowError> {
     if let Some(remapped) = &ctx.remapped {
         let moved: usize = remapped.moved.iter().map(Vec::len).sum();
         outln!("remap: {moved} core relocation(s) across groups");
+        for (g, (sol, cores)) in remapped.per_group.iter().zip(&remapped.moved).enumerate() {
+            let cores: Vec<String> = cores.iter().map(ToString::to_string).collect();
+            let cores = if cores.is_empty() {
+                "none".to_string()
+            } else {
+                cores.join(" ")
+            };
+            outln!(
+                "  group {g}: cost {} moved {cores}",
+                sol.comm_cost_bytes_hops()
+            );
+        }
     }
     if !ctx.sim_reports.is_empty() {
         let contention: u64 = ctx
@@ -293,6 +314,7 @@ fn cmd_flow(mut args: Vec<String>) -> Result<(), FlowError> {
         .ok_or_else(|| FlowError::Usage("flow needs a subcommand (run|list|show)".into()))?;
     match sub.as_str() {
         "list" => {
+            no_more(&args[1..])?;
             for spec in registry::registry() {
                 outln!("{:<10} {}", spec.name, spec.title);
             }
@@ -302,6 +324,7 @@ fn cmd_flow(mut args: Vec<String>) -> Result<(), FlowError> {
             let name = args
                 .get(1)
                 .ok_or_else(|| FlowError::Usage("flow show needs an experiment name".into()))?;
+            no_more(&args[2..])?;
             out!("{}", experiment_to_text(&registry::find(name)?));
             Ok(())
         }
@@ -419,21 +442,12 @@ fn run_suite(spec: &ExperimentSpec, json: Option<&str>, label: &str) -> Result<(
 /// [`noc_service::EngineConfig::default`]).
 fn take_engine_config(args: &mut Vec<String>) -> Result<noc_service::EngineConfig, FlowError> {
     let defaults = noc_service::EngineConfig::default();
-    let mode = match take_string(args, "--mode")? {
-        Some(tok) => noc_service::AdmitMode::parse(&tok).ok_or_else(|| {
-            FlowError::Usage(format!(
-                "invalid --mode '{tok}' (expected incremental|resolve)"
-            ))
-        })?,
-        None => defaults.mode,
-    };
     Ok(noc_service::EngineConfig {
         rows: take_num(args, "--rows", defaults.rows)?,
         cols: take_num(args, "--cols", defaults.cols)?,
         nis_per_switch: take_num(args, "--nis", defaults.nis_per_switch)?,
         batch: take_num(args, "--batch", defaults.batch)?,
         budget: take_num(args, "--budget", defaults.budget)?,
-        mode,
         ..defaults
     })
 }
@@ -442,6 +456,7 @@ fn cmd_serve(mut args: Vec<String>) -> Result<(), FlowError> {
     let port: u16 = take_num(&mut args, "--port", 0)?;
     let journal = take_string(&mut args, "--journal")?;
     let cfg = take_engine_config(&mut args)?;
+    no_more(&args)?;
     let io_err = |e: std::io::Error| FlowError::Io {
         path: format!("port {port}"),
         message: format!("daemon failed: {e}"),
@@ -494,7 +509,7 @@ fn cmd_replay(mut args: Vec<String>) -> Result<(), FlowError> {
     let seed: u64 = take_num(&mut args, "--seed", 2006)?;
     let transcript = take_flag(&mut args, "--transcript");
     let cfg = take_engine_config(&mut args)?;
-    let mode = cfg.mode;
+    no_more(&args)?;
     let replay = noc_service::replay(cfg, requests, seed).map_err(|m| FlowError::Parse {
         line: 0,
         message: m,
@@ -504,9 +519,8 @@ fn cmd_replay(mut args: Vec<String>) -> Result<(), FlowError> {
     }
     let s = replay.stats;
     outln!(
-        "replayed {requests} requests (seed {seed}, mode {}): admitted={} rejected={} \
+        "replayed {requests} requests (seed {seed}): admitted={} rejected={} \
          blocking={:.4} displaced={} evictions={} flushes={}",
-        mode.token(),
         s.admitted,
         s.rejected,
         s.blocking(),

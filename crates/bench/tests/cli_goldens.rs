@@ -86,6 +86,50 @@ fn flow_run_refuses_a_label_without_json() {
     assert!(stderr.contains("error: --label names a record"), "{stderr}");
 }
 
+/// An argument a subcommand does not take is a usage error that names
+/// it: exit 1 and nothing on stdout, before any work is done or any
+/// port is bound. A binary still running after ten seconds (a `serve`
+/// that ignored the argument and listens) is killed and fails the test.
+#[test]
+fn unknown_arguments_are_usage_errors() {
+    use std::time::{Duration, Instant};
+
+    let spec = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs/figure2.spec");
+    let spec = spec.to_str().unwrap();
+    for (args, named) in [
+        (vec!["replay", "--mode", "resolve"], "--mode"),
+        (vec!["replay", "--reqests", "10"], "--reqests"),
+        (vec!["design", spec, "--frq", "300"], "--frq"),
+        (vec!["gen", "d1", "--seeed", "3"], "--seeed"),
+        (vec!["serve", "--bogus", "1"], "--bogus"),
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_nocmap_cli"))
+            .args(&args)
+            .env_remove("NOC_PAR_THREADS")
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while child.try_wait().expect("status").is_none() {
+            if Instant::now() > deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("{args:?} still running");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let out = child.wait_with_output().expect("binary exits");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed on stdout");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unexpected argument '{named}'")),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
 /// A suite with no op snapshots and no wall-clock cells still writes a
 /// record in the one shape, and the checker accepts it: alone, and
 /// against the same record regenerated at 4 workers.

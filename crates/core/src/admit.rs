@@ -170,6 +170,12 @@ impl fmt::Display for RejectReason {
 /// `budget` bounds the pre-existing cores the displacement repair may
 /// move; the returned [`Admission::evictions`] never exceeds it.
 ///
+/// Besides the admitted group, the delta re-routes every group whose
+/// traffic touches a relocated core, except a group whose config in
+/// `base` is empty: such a group (the service's parked use-cases) is
+/// not serviced, so it is never re-routed and its unplaced cores are
+/// never seated.
+///
 /// Increments the `admissions` / `rejections` /
 /// `displacement_evictions` counters in [`crate::perf`].
 ///
@@ -238,11 +244,15 @@ pub fn admit_group(
         );
     }
 
-    // The admitted group, and every group touching a relocated core.
+    // The admitted group, and every serviced group touching a relocated
+    // core: a group with an empty config in `base` stays unrouted.
     let route = |placement: &BTreeMap<CoreId, NodeId>,
                  relocated: &BTreeSet<CoreId>,
                  cache: &mut RouteCache| {
         let mut affected = groups_touching(merged, |c| relocated.contains(&c));
+        for (touched, config) in affected.iter_mut().zip(base.group_configs()) {
+            *touched &= !config.is_empty();
+        }
         affected[group] = true;
         reroute_preset_groups(
             soc,
@@ -507,6 +517,34 @@ mod tests {
             assert_eq!(solution.core_mapping()[core], *ni);
         }
         solution.verify(&soc, &groups).unwrap();
+    }
+
+    /// A parked group (an empty config in `base`) that shares the core
+    /// the admission seats is left out of the delta: it gets no routes,
+    /// and its other, unseated core stays unseated.
+    #[test]
+    fn parked_groups_sharing_a_relocated_core_are_not_rerouted() {
+        let topo = MeshBuilder::new(2, 2)
+            .nis_per_switch(2)
+            .build()
+            .unwrap()
+            .into_topology();
+        let mut soc = SocSpec::new("svc");
+        soc.add_use_case(uc("u0", &[(0, 1, 200)]));
+        let (base, options) = running_state(&soc, &topo);
+
+        // u1 is parked: no config, cores 2 and 3 unseated.
+        soc.add_use_case(uc("u1", &[(2, 3, 100)]));
+        soc.add_use_case(uc("u2", &[(2, 0, 100)]));
+        let groups = UseCaseGroups::singletons(3);
+        let merged = merged_group_flows(&soc, &groups);
+        let mut cache = RouteCache::new(&merged);
+        let base = with_placeholder(&with_placeholder(&base));
+        let adm = admit_group(&soc, &groups, &base, &options, 2, 6, &merged, &mut cache).unwrap();
+        assert_eq!(adm.placed, vec![c(2)]);
+        let routed: Vec<usize> = adm.delta.configs.iter().map(|&(g, _)| g).collect();
+        assert_eq!(routed, vec![2]);
+        assert!(!adm.delta.placement.contains_key(&c(3)));
     }
 
     #[test]

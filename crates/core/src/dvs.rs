@@ -156,8 +156,7 @@ pub fn parallel_min_frequency(
         k >= 1 && k <= soc.use_case_count(),
         "k must be in 1..=use_case_count"
     );
-    let members: Vec<_> = soc.use_cases().iter().take(k).collect();
-    let compound = noc_usecase::compound_mode(format!("par{k}"), members.into_iter());
+    let compound = noc_usecase::compound_mode(format!("par{k}"), soc.use_cases().iter().take(k));
     let mut solo = SocSpec::new(format!("{}-par{k}", soc.name()));
     solo.add_use_case(compound);
     min_frequency(

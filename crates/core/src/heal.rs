@@ -98,6 +98,10 @@ impl HealOutcome {
 /// many stranded cores may be re-seated. With an empty fault set the
 /// base solution is returned unchanged as `Healed`.
 ///
+/// Only groups with a non-empty config in `base` are re-routed: a group
+/// whose config is empty (a use-case the service parked) keeps it, even
+/// when it touches a moved core.
+///
 /// Increments the `heals_attempted` / `heal_reroutes` /
 /// `heal_evictions` counters in [`crate::perf`].
 pub fn heal(
@@ -158,12 +162,14 @@ pub fn heal(
         .map(|(g, _)| g)
         .collect();
 
-    // Phase 2: delta re-route of the groups the faults actually touch:
-    // those touching a moved core or crossing a failed resource.
+    // Phase 2: delta re-route of the serviced groups the faults
+    // actually touch: those touching a moved core or crossing a failed
+    // resource. A group with an empty base config stays unrouted.
     let touched = groups_touching(&merged, |c| moved.contains(&c));
     let mut active: Vec<bool> = (0..merged.len())
         .map(|g| {
             !degraded_groups.contains(&g)
+                && !base.group_configs()[g].is_empty()
                 && (touched[g]
                     || base.group_configs()[g]
                         .iter()
@@ -285,6 +291,41 @@ mod tests {
                 assert_eq!(solution, base);
                 assert_eq!(rerouted, 0);
                 assert!(moved.is_empty());
+            }
+            other => panic!("expected healed, got {other:?}"),
+        }
+    }
+
+    /// A parked group (an empty base config) whose cores are all seated
+    /// and include a stranded one stays out of the re-route: its config
+    /// stays empty and only the serviced group is re-routed.
+    #[test]
+    fn parked_groups_sharing_a_moved_core_are_not_rerouted() {
+        let topo = MeshBuilder::new(2, 2)
+            .nis_per_switch(2)
+            .build()
+            .unwrap()
+            .into_topology();
+        let mut soc = SocSpec::new("h");
+        soc.add_use_case(uc("u0", &[(0, 1, 200)]));
+        soc.add_use_case(uc("u1", &[(1, 0, 100)]));
+        let groups = UseCaseGroups::singletons(2);
+        let (mut base, options) = preset_base(&soc, &groups, &topo);
+        base.group_configs_mut()[1] = GroupConfig::new();
+
+        let mut faults = FaultSet::default();
+        faults.fail_ni(base.core_mapping()[&c(0)]);
+        let options = MapperOptions { faults, ..options };
+        match heal(&soc, &groups, &base, &options, &RemapConfig::default()) {
+            HealOutcome::Healed {
+                solution,
+                rerouted,
+                moved,
+            } => {
+                assert_eq!(moved, vec![c(0)]);
+                assert_eq!(rerouted, 1);
+                assert!(solution.group_configs()[1].is_empty());
+                assert!(!solution.group_configs()[0].is_empty());
             }
             other => panic!("expected healed, got {other:?}"),
         }

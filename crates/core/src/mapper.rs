@@ -550,6 +550,13 @@ enum MapMode<'a> {
     },
 }
 
+/// What [`run_mapping`] returns: the placement, and per group its config
+/// (`None` for a group the run skipped).
+type RunOutcome = (BTreeMap<CoreId, NodeId>, Vec<Option<GroupConfig>>);
+
+/// One group's `(src, dst, demand)` routing work for the group pass.
+type GroupDemands = Vec<(CoreId, CoreId, MergedFlow)>;
+
 /// The mapping engine behind [`map_multi_usecase`] and
 /// [`reroute_preset_groups`]: routes the groups `mode` selects and
 /// returns the placement plus per-group configs (`None` for skipped
@@ -575,7 +582,7 @@ fn run_mapping(
     options: &MapperOptions,
     merged: &[BTreeMap<(CoreId, CoreId), MergedFlow>],
     mode: MapMode<'_>,
-) -> Result<(BTreeMap<CoreId, NodeId>, Vec<Option<GroupConfig>>), MapError> {
+) -> Result<RunOutcome, MapError> {
     let (preset, active, proven) = match mode {
         MapMode::Full => match &options.placement {
             Placement::Preset(assignment) => (Some(assignment), None, None),
@@ -723,8 +730,7 @@ fn run_mapping(
     // Demands deferred to the parallel per-group pass, in placement-pass
     // processing order (each group's routing order must not depend on
     // scheduling).
-    let mut deferred: Vec<Vec<(CoreId, CoreId, MergedFlow)>> =
-        vec![Vec::new(); groups.group_count()];
+    let mut deferred: Vec<GroupDemands> = vec![Vec::new(); groups.group_count()];
     let mut queue = PairQueue::new(&tasks, options.prefer_mapped, &state.core_to_ni);
     #[cfg(test)]
     let mut reference = tests::QuadraticPicks::new(&tasks, options.prefer_mapped);
@@ -782,7 +788,7 @@ fn run_mapping(
     // reduction (and `try_par_map`'s smallest-index error rule) makes
     // the outcome independent of the thread count.
     let state_ref = &state;
-    let group_work: Vec<(usize, Vec<(CoreId, CoreId, MergedFlow)>)> = deferred
+    let group_work: Vec<(usize, GroupDemands)> = deferred
         .into_iter()
         .enumerate()
         .filter(|(_, demands)| !demands.is_empty())

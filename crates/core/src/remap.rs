@@ -11,9 +11,11 @@
 //! This module implements that extension: starting from a shared base
 //! placement, each group may relocate up to `max_moved_cores` cores to
 //! NIs that better suit *its* traffic (physically: those cores are wired
-//! to a second NI port). A greedy hill-climb proposes single-core moves
-//! and core swaps, re-routes the group's traffic with the candidate
-//! placement fixed, and keeps improvements.
+//! to a second NI port). A greedy hill-climb proposes each core of the
+//! group on each NI with the displacement move the other placement
+//! searches share (a swap with the NI's occupant), prices it by
+//! re-routing the group with the candidate placement fixed through a
+//! [`RouteCache`], and keeps improvements.
 //!
 //! Each group's search only reads the shared base solution and writes
 //! its own slot state, so the groups are refined **in parallel** (via
@@ -22,12 +24,15 @@
 
 use std::collections::BTreeMap;
 
+use noc_topology::NodeId;
 use noc_usecase::spec::{CoreId, SocSpec};
 use noc_usecase::UseCaseGroups;
 
 use crate::error::MapError;
-use crate::mapper::{map_multi_usecase, MapperOptions, Placement};
+use crate::mapper::{preset_twin, reroute_preset_groups, MapperOptions, RouteCache};
+use crate::merge::merged_group_flows;
 use crate::result::MappingSolution;
+use crate::seat::swap;
 
 /// Parameters of the per-group remapping search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,30 +53,14 @@ impl Default for RemapConfig {
     }
 }
 
-/// A base design plus per-group placement refinements.
+/// Per-group placement refinements of a base design.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RemappedDesign {
-    /// The shared-placement solution every group starts from.
-    pub base: MappingSolution,
     /// One refined solution per group (same topology and spec; only the
     /// group's own traffic is routed in it).
     pub per_group: Vec<MappingSolution>,
     /// Cores each group placed differently from the base.
     pub moved: Vec<Vec<CoreId>>,
-}
-
-impl RemappedDesign {
-    /// Total comm-cost improvement over routing each group on the base
-    /// placement, as a fraction in `[0, 1)`.
-    pub fn improvement(&self, base_costs: &[f64]) -> f64 {
-        let before: f64 = base_costs.iter().sum();
-        let after: f64 = self.per_group.iter().map(MappingSolution::comm_cost).sum();
-        if before <= 0.0 {
-            0.0
-        } else {
-            (before - after) / before
-        }
-    }
 }
 
 /// The spec containing only one group's use-cases (with a matching
@@ -87,8 +76,8 @@ fn group_spec(soc: &SocSpec, groups: &UseCaseGroups, g: usize) -> (SocSpec, UseC
 }
 
 fn moved_cores(
-    base: &BTreeMap<CoreId, noc_topology::NodeId>,
-    candidate: &BTreeMap<CoreId, noc_topology::NodeId>,
+    base: &BTreeMap<CoreId, NodeId>,
+    candidate: &BTreeMap<CoreId, NodeId>,
 ) -> Vec<CoreId> {
     candidate
         .iter()
@@ -100,6 +89,10 @@ fn moved_cores(
 /// Refines `base` by letting every group move up to
 /// [`RemapConfig::max_moved_cores`] cores, greedily minimizing the
 /// group's bandwidth-weighted hop cost.
+///
+/// Per round, each core of the group (in core order) is tried on each
+/// NI (in topology order), swapping with the NI's occupant; a move is
+/// kept when the group re-routed under it costs less than before.
 ///
 /// # Errors
 ///
@@ -113,128 +106,81 @@ pub fn refine_with_remap(
     base: &MappingSolution,
     config: &RemapConfig,
 ) -> Result<RemappedDesign, MapError> {
-    let topo = base.topology();
-    let spec = base.spec();
-    let all_nis: Vec<_> = topo.nis().to_vec();
+    let nis = base.topology().nis();
 
     let refine_group = |g: usize| -> Result<(MappingSolution, Vec<CoreId>), MapError> {
         let span = noc_obs::span("remap-group");
         span.attr("group", g);
         let (sub_soc, sub_groups) = group_spec(soc, groups, g);
-        let route = |placement: BTreeMap<CoreId, noc_topology::NodeId>| {
-            map_multi_usecase(
-                &sub_soc,
-                &sub_groups,
-                topo,
-                spec,
-                &MapperOptions {
-                    placement: Placement::Preset(placement),
-                    ..options.clone()
-                },
-            )
-        };
+        let merged = merged_group_flows(&sub_soc, &sub_groups);
+        let mut cache = RouteCache::new(&merged);
 
         // Start: the base placement, re-routed for this group only.
-        let mut current = route(base.core_mapping().clone())?;
-        let mut current_map = base.core_mapping().clone();
-        // Hoisted out of the proposal loop: the group's core list, the
-        // occupant reverse index (placements are injective) and the set
-        // of cores currently displaced from the base — all maintained
-        // only when a move is *accepted*, so a rejected proposal costs
-        // no clone and no full-map scan.
-        let group_cores = sub_soc.cores();
-        let mut ni_to_core: BTreeMap<noc_topology::NodeId, CoreId> =
-            current_map.iter().map(|(&c, &ni)| (ni, c)).collect();
-        let mut moved: std::collections::BTreeSet<CoreId> =
-            moved_cores(base.core_mapping(), &current_map)
-                .into_iter()
-                .collect();
+        let mut current = preset_twin(&sub_soc, &sub_groups, options, base)?;
+        let mut cost = current.comm_cost_bytes_hops();
+        let mut mapping = base.core_mapping().clone();
 
-        'rounds: for _ in 0..config.rounds {
+        for _ in 0..config.rounds {
             let mut improved = false;
-            for &core in &group_cores {
-                // Deliberately read once per core, not per target: after
-                // an accepted move inside this target scan, `from` is
-                // stale and later swap candidates against it fail preset
-                // validation (harmlessly rejected). The next round
-                // re-reads; changing this would change search results,
-                // which the byte-identity contract forbids.
-                let from = current_map[&core];
-                for &target in &all_nis {
+            for core in sub_soc.cores() {
+                for &target in nis {
+                    let from = mapping[&core];
                     if target == from {
                         continue;
                     }
-                    // Propose: move `core` to `target`, swapping with any
-                    // occupant. Check the move budget before paying for a
-                    // candidate map: only `core` and the occupant change,
-                    // so the new displaced-count is a two-term update of
-                    // the current one.
-                    let occupant = ni_to_core.get(&target).copied();
-                    let mut displaced = moved.len();
-                    let count = |c: CoreId, ni, displaced: &mut usize| {
-                        let was = moved.contains(&c);
-                        let now = base.core_mapping()[&c] != ni;
-                        match (was, now) {
-                            (false, true) => *displaced += 1,
-                            (true, false) => *displaced -= 1,
-                            _ => {}
-                        }
-                    };
-                    count(core, target, &mut displaced);
-                    if let Some(o) = occupant {
-                        count(o, from, &mut displaced);
-                    }
-                    if displaced > config.max_moved_cores {
-                        continue;
-                    }
-                    let mut candidate = current_map.clone();
-                    if let Some(o) = occupant {
-                        candidate.insert(o, from);
-                    }
-                    candidate.insert(core, target);
-                    if let Ok(sol) = route(candidate) {
-                        if sol.comm_cost() + 1e-9 < current.comm_cost() {
-                            // Accepts are rare: rebuild the maintained
-                            // indices from the accepted solution (whose
-                            // mapping *is* the candidate).
-                            current_map = sol.core_mapping().clone();
-                            ni_to_core = current_map.iter().map(|(&c, &ni)| (ni, c)).collect();
-                            moved = moved_cores(base.core_mapping(), &current_map)
-                                .into_iter()
-                                .collect();
-                            current = sol;
-                            improved = true;
+                    swap(&mut mapping, core, target);
+                    if moved_cores(base.core_mapping(), &mapping).len() <= config.max_moved_cores {
+                        let delta = reroute_preset_groups(
+                            &sub_soc,
+                            &sub_groups,
+                            current.topology(),
+                            current.spec(),
+                            options,
+                            &mapping,
+                            &[true],
+                            &merged,
+                            &mut cache,
+                        );
+                        if let Ok(delta) = delta {
+                            let moved_cost = delta.configs[0].1.cost_bytes_hops();
+                            if moved_cost < cost {
+                                cost = moved_cost;
+                                current.splice(delta);
+                                improved = true;
+                                continue;
+                            }
                         }
                     }
+                    swap(&mut mapping, core, from);
                 }
             }
             if !improved {
-                break 'rounds;
+                break;
             }
         }
 
-        Ok((current, moved_cores(base.core_mapping(), &current_map)))
+        Ok((current, moved_cores(base.core_mapping(), &mapping)))
     };
 
     // One independent hill-climb per group, reduced in group order.
     let refined =
         noc_par::try_par_map((0..groups.group_count()).collect(), |_, g| refine_group(g))?;
     let (per_group, moved) = refined.into_iter().unzip();
-
-    Ok(RemappedDesign {
-        base: base.clone(),
-        per_group,
-        moved,
-    })
+    Ok(RemappedDesign { per_group, moved })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::design::design_smallest_mesh;
+    use crate::mapper::map_multi_usecase;
     use noc_tdma::TdmaSpec;
     use noc_topology::units::{Bandwidth, Latency};
+    use noc_topology::MeshBuilder;
     use noc_usecase::spec::UseCaseBuilder;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
 
     fn c(i: u32) -> CoreId {
         CoreId::new(i)
@@ -322,39 +268,104 @@ mod tests {
         }
     }
 
+    /// Each group's base placement re-routed for that group alone: the
+    /// cost the hill-climb starts from.
+    fn base_costs(
+        soc: &SocSpec,
+        groups: &UseCaseGroups,
+        opts: &MapperOptions,
+        base: &MappingSolution,
+    ) -> Vec<u128> {
+        (0..groups.group_count())
+            .map(|g| {
+                let (sub, subg) = group_spec(soc, groups, g);
+                let twin = preset_twin(&sub, &subg, opts, base).unwrap();
+                twin.comm_cost_bytes_hops()
+            })
+            .collect()
+    }
+
+    /// A random SoC of up to ten cores mapped on a random small mesh,
+    /// without faults; `None` when the mapper finds no mapping.
+    fn random_design(
+        seed: u64,
+    ) -> Option<(SocSpec, UseCaseGroups, MappingSolution, MapperOptions)> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let topo = MeshBuilder::new(rng.gen_range(2..=3u16), rng.gen_range(2..=3u16))
+            .nis_per_switch(rng.gen_range(1..=2u16))
+            .build()
+            .unwrap()
+            .into_topology();
+        let cores = rng.gen_range(4..=topo.ni_count().min(10) as u32);
+        let mut soc = SocSpec::new("random");
+        let use_cases = rng.gen_range(1..=4usize);
+        for u in 0..use_cases {
+            let mut b = UseCaseBuilder::new(format!("u{u}"));
+            let mut pairs = BTreeSet::new();
+            while pairs.len() < rng.gen_range(1..=5usize) {
+                let (src, dst) = (rng.gen_range(0..cores), rng.gen_range(0..cores));
+                if src != dst && pairs.insert((src, dst)) {
+                    let mbps = rng.gen_range(10..900u64);
+                    b = b
+                        .flow(
+                            c(src),
+                            c(dst),
+                            Bandwidth::from_mbps(mbps),
+                            Latency::UNCONSTRAINED,
+                        )
+                        .unwrap();
+                }
+            }
+            soc.add_use_case(b.build());
+        }
+        let groups = if rng.gen_bool(0.25) {
+            UseCaseGroups::single_group(use_cases)
+        } else {
+            UseCaseGroups::singletons(use_cases)
+        };
+        let opts = MapperOptions::default();
+        let base =
+            map_multi_usecase(&soc, &groups, &topo, TdmaSpec::paper_default(), &opts).ok()?;
+        Some((soc, groups, base, opts))
+    }
+
+    /// On the conflicted SoC and on random small SoCs, every per-group
+    /// solution verifies on its sub-spec, moves at most the budget from
+    /// the base, costs no more than the base re-routed for its group,
+    /// and equals a fresh preset map of its own placement: the configs
+    /// the climb spliced from cached re-routes are the ones a full map
+    /// gives.
     #[test]
     fn remap_never_hurts_and_verifies() {
-        let (soc, groups, base, opts) = setup();
-        let cfg = RemapConfig::default();
-        // Baseline per-group costs on the shared placement.
-        let mut base_costs = Vec::new();
-        for g in 0..groups.group_count() {
-            let (sub, subg) = group_spec(&soc, &groups, g);
-            let sol = map_multi_usecase(
-                &sub,
-                &subg,
-                base.topology(),
-                base.spec(),
-                &MapperOptions {
-                    placement: Placement::Preset(base.core_mapping().clone()),
-                    ..opts.clone()
-                },
-            )
-            .unwrap();
-            base_costs.push(sol.comm_cost());
+        let cases = std::iter::once(Some(setup())).chain((0..32).map(random_design));
+        let (mut checked, mut moved) = (0, 0);
+        for (i, (soc, groups, base, opts)) in cases.flatten().enumerate() {
+            let cfg = RemapConfig {
+                max_moved_cores: 1 + i % 2,
+                rounds: 2,
+            };
+            let design = refine_with_remap(&soc, &groups, &opts, &base, &cfg).unwrap();
+            let base_costs = base_costs(&soc, &groups, &opts, &base);
+            for (g, sol) in design.per_group.iter().enumerate() {
+                let (sub, subg) = group_spec(&soc, &groups, g);
+                sol.verify(&sub, &subg).expect("per-group solution valid");
+                let m = &design.moved[g];
+                assert!(m.len() <= cfg.max_moved_cores, "case {i} group {g}: {m:?}");
+                assert_eq!(*m, moved_cores(base.core_mapping(), sol.core_mapping()));
+                assert!(
+                    sol.comm_cost_bytes_hops() <= base_costs[g],
+                    "case {i} group {g}: {} vs base {}",
+                    sol.comm_cost_bytes_hops(),
+                    base_costs[g]
+                );
+                let fresh = preset_twin(&sub, &subg, &opts, sol).unwrap();
+                assert_eq!(*sol, fresh, "case {i} group {g}: spliced configs");
+                moved += m.len();
+            }
+            checked += 1;
         }
-        let design = refine_with_remap(&soc, &groups, &opts, &base, &cfg).unwrap();
-        for (g, sol) in design.per_group.iter().enumerate() {
-            let (sub, subg) = group_spec(&soc, &groups, g);
-            sol.verify(&sub, &subg).expect("per-group solution valid");
-            assert!(
-                sol.comm_cost() <= base_costs[g] + 1e-9,
-                "group {g}: {} vs base {}",
-                sol.comm_cost(),
-                base_costs[g]
-            );
-        }
-        assert!(design.improvement(&base_costs) >= 0.0);
+        assert!(checked > 16, "only {checked} cases mapped");
+        assert!(moved > 0, "no group moved a core");
     }
 
     #[test]
@@ -372,27 +383,16 @@ mod tests {
             max_moved_cores: 4,
             rounds: 4,
         };
-        let mut base_costs = Vec::new();
-        for g in 0..groups.group_count() {
-            let (sub, subg) = group_spec(&soc, &groups, g);
-            let sol = map_multi_usecase(
-                &sub,
-                &subg,
-                base.topology(),
-                base.spec(),
-                &MapperOptions {
-                    placement: Placement::Preset(base.core_mapping().clone()),
-                    ..opts.clone()
-                },
-            )
-            .unwrap();
-            base_costs.push(sol.comm_cost());
-        }
+        let before: u128 = base_costs(&soc, &groups, &opts, &base).iter().sum();
         let design = refine_with_remap(&soc, &groups, &opts, &base, &cfg).unwrap();
+        let after: u128 = design
+            .per_group
+            .iter()
+            .map(MappingSolution::comm_cost_bytes_hops)
+            .sum();
         assert!(
-            design.improvement(&base_costs) >= 0.0,
-            "remapping must not lose: {}",
-            design.improvement(&base_costs)
+            after <= before,
+            "remapping must not lose: {after} vs {before}"
         );
     }
 }

@@ -1,11 +1,10 @@
 //! Where a core may go, and the one displacement move. Admission's
 //! greedy fast path and heal's re-placement of stranded cores share the
 //! seating rule; admission's repair, the displacement strategy,
-//! annealing and heal share the move: cores ordered heaviest first by
-//! merged demand, a swap with the target NI's occupant (the inverse
-//! swap is the rollback), and the scan for the groups a move must
-//! re-route. (`remap::refine_with_remap` keeps a hill-climb of its own
-//! over per-group sub-specs.) The displacement strategy also reads a
+//! annealing, per-group remapping and heal share the move: cores
+//! ordered heaviest first by merged demand, a swap with the target NI's
+//! occupant (the inverse swap is the rollback), and the scan for the
+//! groups a move must re-route. The displacement strategy also reads a
 //! move's lower cost bound here, from a table of surviving NI-to-NI hop
 //! distances, before it routes the move.
 

@@ -38,6 +38,7 @@ impl PairPool {
     /// pipelines spread connections evenly. (A lopsided pool would make
     /// the worst core's NI link infeasible for the WC baseline at *any*
     /// topology size, which is not how the paper's designs behave.)
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn master<R: Rng + ?Sized>(
         rng: &mut R,
         cores: u32,

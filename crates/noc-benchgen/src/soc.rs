@@ -219,7 +219,7 @@ mod tests {
     fn tv_designs_are_spread() {
         for d in [SocDesign::D3, SocDesign::D4] {
             let soc = d.generate();
-            let mut touch = vec![0usize; 25];
+            let mut touch = [0usize; 25];
             let mut total = 0usize;
             for uc in soc.use_cases() {
                 for f in uc.flows() {

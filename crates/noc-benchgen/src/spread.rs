@@ -143,7 +143,7 @@ mod tests {
     fn traffic_is_spread_not_hubbed() {
         let soc = SpreadConfig::paper(4).generate(2);
         // No single core should attract more than ~35% of all flows.
-        let mut touch = vec![0usize; 20];
+        let mut touch = [0usize; 20];
         let mut total = 0usize;
         for uc in soc.use_cases() {
             for f in uc.flows() {

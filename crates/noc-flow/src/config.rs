@@ -275,9 +275,8 @@ pub enum ExperimentKind {
         benches: Vec<LabeledBench>,
     },
     /// Online-service admission study: replay one seeded request trace
-    /// through `noc-service` per fabric × admission mode, reporting
-    /// blocking probability and reconfiguration cost (see
-    /// `docs/SERVICE.md`).
+    /// through `noc-service` per fabric, reporting blocking probability
+    /// and reconfiguration cost (see `docs/SERVICE.md`).
     Service {
         /// Requests in the generated trace.
         requests: u64,

@@ -271,7 +271,7 @@ pub fn registry() -> Vec<ExperimentSpec> {
     ));
     specs.push(spec(
         "service",
-        "Online admission: blocking and reconfiguration cost, incremental vs resolve",
+        "Online admission: blocking and reconfiguration cost",
         ExperimentKind::Service {
             requests: 200,
             seed: SEED,

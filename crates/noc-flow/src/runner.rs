@@ -735,7 +735,6 @@ fn engine_config(
     nis: u16,
     batch: u64,
     budget: u64,
-    mode: noc_service::AdmitMode,
 ) -> noc_service::EngineConfig {
     noc_service::EngineConfig {
         rows,
@@ -743,17 +742,15 @@ fn engine_config(
         nis_per_switch: nis,
         batch: batch as usize,
         budget,
-        mode,
         ..noc_service::EngineConfig::default()
     }
 }
 
-/// Replays the seeded trace once per fabric × admission mode,
-/// bracketing each replay with op-counter snapshots; every cell is
-/// schedule-independent. The `routes`/`maps` columns are the
-/// incremental-vs-resolve contrast: incremental admissions cost one
-/// group route each, the resolve baseline a full map per applied
-/// mutation.
+/// Replays the seeded trace once per fabric, bracketing each replay
+/// with op-counter snapshots; every cell is schedule-independent. The
+/// `routes` column counts the group routes admission paid for: each
+/// admission routes its own group and the groups around a displaced
+/// core, never a full map.
 fn service_table(
     title: &str,
     requests: u64,
@@ -761,12 +758,10 @@ fn service_table(
     batch: u64,
     budget: u64,
 ) -> Result<Table, FlowError> {
-    use noc_service::AdmitMode;
     let mut table = Table::new(
         title,
         vec![
             Column::left("fabric", "fabric", 12),
-            Column::left("mode", "mode", 12),
             Column::right("admitted", "admitted", 8),
             Column::right("rejected", "rejected", 8),
             Column::right("blocking", "blocking", 9),
@@ -774,37 +769,31 @@ fn service_table(
             Column::right("evict", "evictions", 6),
             Column::right("flushes", "flushes", 8),
             Column::right("routes", "routes", 8),
-            Column::right("maps", "maps", 6),
         ],
     );
     for (fabric, rows, cols, nis) in SERVICE_FABRICS {
-        for mode in [AdmitMode::Incremental, AdmitMode::Resolve] {
-            let cfg = engine_config(rows, cols, nis, batch, budget, mode);
-            let (replayed, ops) = counted(|| noc_service::replay(cfg, requests, seed));
-            let s = replayed.map_err(|m| FlowError::parse(0, m))?.stats;
-            table.push_with_ops(
-                vec![
-                    fabric.into(),
-                    mode.token().into(),
-                    s.admitted.into(),
-                    s.rejected.into(),
-                    Cell::real(s.blocking(), 4),
-                    s.displaced.into(),
-                    s.evictions.into(),
-                    s.flushes.into(),
-                    ops.group_routes.into(),
-                    ops.full_maps.into(),
-                ],
-                vec![("ops", ops)],
-            );
-        }
+        let cfg = engine_config(rows, cols, nis, batch, budget);
+        let (replayed, ops) = counted(|| noc_service::replay(cfg, requests, seed));
+        let s = replayed.map_err(|m| FlowError::parse(0, m))?.stats;
+        table.push_with_ops(
+            vec![
+                fabric.into(),
+                s.admitted.into(),
+                s.rejected.into(),
+                Cell::real(s.blocking(), 4),
+                s.displaced.into(),
+                s.evictions.into(),
+                s.flushes.into(),
+                ops.group_routes.into(),
+            ],
+            vec![("ops", ops)],
+        );
     }
     Ok(table)
 }
 
-/// Replays the seeded fault schedule once per fabric (incremental
-/// admission only — healing is defined as incremental repair). The
-/// `maps` column is the load-bearing cell: healing re-routes groups
+/// Replays the seeded fault schedule once per fabric. The `maps`
+/// column is the load-bearing cell: healing re-routes groups
 /// (`hreroute`) and displaces stranded cores (`hevict`), so full maps
 /// stay at the admission baseline even under the fault schedule.
 fn resilience_table(
@@ -833,8 +822,7 @@ fn resilience_table(
         ],
     );
     for (fabric, rows, cols, nis) in SERVICE_FABRICS {
-        let mode = noc_service::AdmitMode::Incremental;
-        let cfg = engine_config(rows, cols, nis, batch, budget, mode);
+        let cfg = engine_config(rows, cols, nis, batch, budget);
         let lines = noc_service::generate_fault_trace(&cfg, requests, seed, faults)
             .map_err(|m| FlowError::parse(0, m))?;
         let (replayed, ops) = counted(|| noc_service::replay_lines(cfg, &lines));

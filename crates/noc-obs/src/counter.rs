@@ -52,8 +52,7 @@ pub enum Counter {
     RouteCacheHits,
     /// Per-group configs routed and inserted into a route cache.
     RouteCacheMisses,
-    /// Use-case admissions accepted, incrementally or by an online
-    /// service's re-solve baseline.
+    /// Use-case admissions accepted by `nocmap::admit_group`.
     Admissions,
     /// Use-case admissions rejected (NI exhaustion or unroutable after
     /// displacement).

@@ -252,7 +252,6 @@ where
         noc_obs::absorb(&counts);
     }
     record_region(&span, stats);
-    drop(slots_mutex);
 
     slots
         .into_iter()

@@ -9,20 +9,16 @@
 //! `stats` / `snapshot` / `shutdown` — mirroring how a deployed NoC
 //! reconfigures between use-case groups rather than per request.
 //!
-//! Admission ([`AdmitMode::Incremental`], the default) goes through
-//! [`nocmap::admit_group`]: greedy placement on free NIs, one group
-//! route (every other group keeps its config), and displacement under
-//! the eviction budget on conflict. The admission's delta is spliced
-//! into the running solution in place. The engine keeps
-//! its state — the admitted use-cases, their merged flows, one
+//! Admission goes through [`nocmap::admit_group`]: greedy placement on
+//! free NIs, one group route (every other group keeps its config), and
+//! displacement under the eviction budget on conflict. The admission's
+//! delta is spliced into the running solution in place. The engine
+//! keeps its state — the admitted use-cases, their merged flows, one
 //! [`RouteCache`] row per use-case and the running solution — alive
 //! across requests and edits it one use-case at a time, so an admission
 //! costs the groups it touches. A cache row keeps every signature routed
 //! since its use-case was admitted, so repeated displacement probes
 //! across the stream hit the cache.
-//! [`AdmitMode::Resolve`] is the from-scratch baseline: every applied
-//! add/modify re-runs the full batch mapper over all admitted use-cases
-//! — the `pr9` perf record contrasts the two on identical traces.
 //!
 //! # Faults and self-healing
 //!
@@ -63,40 +59,11 @@ use nocmap::merge::MergedFlow;
 use nocmap::remap::RemapConfig;
 use nocmap::strategy::displacement_eviction_budget;
 use nocmap::{
-    admit_group, map_multi_usecase, merged_flows, CachedGroup, GroupConfig, HealOutcome,
-    MapperOptions, MappingSolution, RouteCache,
+    admit_group, merged_flows, CachedGroup, GroupConfig, HealOutcome, MapperOptions,
+    MappingSolution, RouteCache,
 };
 
 use crate::protocol::{parse_command, Command, FaultTarget, FlowSpec, ProtocolError, TERMINATOR};
-
-/// How applied mutations reach a new mapping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdmitMode {
-    /// Incremental admission via [`nocmap::admit_group`] (greedy fast
-    /// path, displacement on conflict, route-cache reuse).
-    #[default]
-    Incremental,
-    /// From-scratch baseline: re-run the full batch mapper on every
-    /// applied add/modify.
-    Resolve,
-}
-
-impl AdmitMode {
-    /// CLI/flags token.
-    pub fn token(self) -> &'static str {
-        match self {
-            AdmitMode::Incremental => "incremental",
-            AdmitMode::Resolve => "resolve",
-        }
-    }
-
-    /// Parses a [`Self::token`].
-    pub fn parse(token: &str) -> Option<AdmitMode> {
-        [AdmitMode::Incremental, AdmitMode::Resolve]
-            .into_iter()
-            .find(|m| m.token() == token)
-    }
-}
 
 /// Engine construction parameters (the daemon's fixed fabric plus
 /// admission policy).
@@ -116,8 +83,6 @@ pub struct EngineConfig {
     pub batch: usize,
     /// Displacement eviction budget per admission.
     pub budget: u64,
-    /// Admission mode.
-    pub mode: AdmitMode,
 }
 
 impl Default for EngineConfig {
@@ -133,7 +98,6 @@ impl Default for EngineConfig {
             freq_mhz: 500,
             batch: 4,
             budget: displacement_eviction_budget(),
-            mode: AdmitMode::Incremental,
         }
     }
 }
@@ -734,11 +698,7 @@ impl Engine {
         // version's now-stale cached configs.
         let old = replace_at.map(|at| (at, self.take(at)));
 
-        let outcome = match self.cfg.mode {
-            AdmitMode::Incremental => self.admit_incremental(uc),
-            AdmitMode::Resolve => self.admit_resolve(uc),
-        };
-        match outcome {
+        match self.admit_incremental(uc) {
             Ok((cost, placed, moved)) => {
                 self.stats.admitted += 1;
                 // A re-admitted (modified) use-case is serviced again.
@@ -793,42 +753,6 @@ impl Engine {
             Err(reason) => {
                 self.pop();
                 Err(reason.to_string())
-            }
-        }
-    }
-
-    fn admit_resolve(&mut self, uc: UseCase) -> Result<(u128, usize, u64), String> {
-        let placement = self.solution.core_mapping();
-        let placed = uc
-            .cores()
-            .iter()
-            .filter(|c| !placement.contains_key(c))
-            .count();
-        self.push(uc);
-        let groups = UseCaseGroups::singletons(self.soc.use_case_count());
-        match map_multi_usecase(
-            &self.soc,
-            &groups,
-            self.solution.topology(),
-            self.solution.spec(),
-            &self.options,
-        ) {
-            Ok(sol) => {
-                let moved = self
-                    .solution
-                    .core_mapping()
-                    .iter()
-                    .filter(|(c, ni)| sol.core_mapping().get(c).is_some_and(|n| n != *ni))
-                    .count() as u64;
-                self.solution = sol;
-                noc_obs::count(Counter::Admissions, 1);
-                noc_obs::count(Counter::DisplacementEvictions, moved);
-                Ok((self.solution.comm_cost_bytes_hops(), placed, moved))
-            }
-            Err(e) => {
-                self.pop();
-                noc_obs::count(Counter::Rejections, 1);
-                Err(format!("unroutable: {e}"))
             }
         }
     }
@@ -1076,20 +1000,19 @@ mod tests {
                 }
             }
 
-            // The solution: one config per use-case, complete unless
-            // parked; every core of a serviced use-case seated, on a
-            // distinct surviving NI; nothing else seated.
+            // The solution: one config per use-case, complete when
+            // serviced and empty when parked; every core of a serviced
+            // use-case seated, on a distinct surviving NI; nothing else
+            // seated.
             let sol = &self.solution;
             assert_eq!(sol.group_configs().len(), n, "{context}: configs");
             let placement = sol.core_mapping();
             for (g, (config, flows)) in sol.group_configs().iter().zip(&merged).enumerate() {
                 let id = soc.use_cases()[g].name();
-                let complete = config.iter().map(|(p, _)| p).eq(flows.keys());
-                assert!(
-                    complete || config.is_empty(),
-                    "{context}: partial config of {id}"
-                );
-                if !self.parked.contains(id) {
+                if self.parked.contains(id) {
+                    assert!(config.is_empty(), "{context}: parked {id} has routes");
+                } else {
+                    let complete = config.iter().map(|(p, _)| p).eq(flows.keys());
                     assert!(complete, "{context}: serviced {id} lacks routes");
                     for core in soc.use_cases()[g].cores() {
                         assert!(

@@ -52,7 +52,7 @@ pub mod protocol;
 pub mod replay;
 pub mod trace;
 
-pub use engine::{AdmitMode, Engine, EngineConfig, ServiceStats};
+pub use engine::{Engine, EngineConfig, ServiceStats};
 pub use journal::{recover, Journal};
 pub use net::{request, Client, RetryPolicy, Server};
 pub use protocol::{parse_command, Command, FaultTarget, FlowSpec, ProtocolError};

@@ -88,9 +88,9 @@ pub fn generate_trace(requests: u64, seed: u64) -> Vec<String> {
                 let id = format!("u{next_id}");
                 next_id += 1;
                 adds += 1;
-                let kind = if adds % FORCED_REJECT_PERIOD == 0 {
+                let kind = if adds.is_multiple_of(FORCED_REJECT_PERIOD) {
                     AddKind::OverCapacity
-                } else if adds % HEAVY_PERIOD == 0 {
+                } else if adds.is_multiple_of(HEAVY_PERIOD) {
                     AddKind::Heavy
                 } else {
                     AddKind::Normal

@@ -296,7 +296,7 @@ mod tests {
     fn gt_is_unaffected_by_be_load() {
         let (_t, path, spec) = fixture();
         let g = gt(&path, vec![0, 4], 500);
-        let alone = simulate_mixed(&spec, &[g.clone()], &[], 4096);
+        let alone = simulate_mixed(&spec, std::slice::from_ref(&g), &[], 4096);
         let flooded = simulate_mixed(&spec, &[g], &[be(&path, 1500)], 4096);
         assert_eq!(
             alone.guaranteed, flooded.guaranteed,
@@ -350,7 +350,7 @@ mod tests {
         let run = |traffic: TrafficModel| {
             let mut f = be(&path, 400);
             f.traffic = traffic;
-            simulate_mixed(&spec, &[g.clone()], &[f], 8192)
+            simulate_mixed(&spec, std::slice::from_ref(&g), &[f], 8192)
         };
         let smooth = run(TrafficModel::Constant);
         let bursty = run(TrafficModel::OnOff {

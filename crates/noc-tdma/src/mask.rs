@@ -348,7 +348,7 @@ mod tests {
             // A deterministic scatter of bits.
             let mut x = 0x9e37_79b9_7f4a_7c15u64;
             for i in 0..len {
-                x = x.wrapping_mul(0xd129_8a2e_03707_345).wrapping_add(1);
+                x = x.wrapping_mul(0xd129_8a2e_0370_7345).wrapping_add(1);
                 if x & 3 == 0 {
                     src.set(i);
                 }

@@ -28,7 +28,7 @@ fn word_set(words: &mut Vec<u64>, idx: usize) -> bool {
 fn word_get(words: &[u64], idx: usize) -> bool {
     words
         .get(idx / 64)
-        .map_or(false, |w| w & (1u64 << (idx % 64)) != 0)
+        .is_some_and(|w| w & (1u64 << (idx % 64)) != 0)
 }
 
 /// A set of failed resources: directed links and NIs.

@@ -198,7 +198,7 @@ impl MeshBuilder {
 /// ```
 pub fn mesh_sizes() -> impl Iterator<Item = (u16, u16)> {
     // i = 0, 1, 2, ... -> (1,1), (1,2), (2,2), (2,3), (3,3), ...
-    (0u32..).map(|i| ((i / 2 + 1) as u16, ((i + 1) / 2 + 1) as u16))
+    (0u32..).map(|i| ((i / 2 + 1) as u16, (i.div_ceil(2) + 1) as u16))
 }
 
 #[cfg(test)]

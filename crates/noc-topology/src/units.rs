@@ -143,7 +143,7 @@ impl Sum for Bandwidth {
 
 impl fmt::Display for Bandwidth {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0 % 1_000_000 == 0 {
+        if self.0.is_multiple_of(1_000_000) {
             write!(f, "{} MB/s", self.0 / 1_000_000)
         } else {
             write!(f, "{:.3} MB/s", self.as_mbps_f64())
@@ -220,7 +220,7 @@ impl Frequency {
 
 impl fmt::Display for Frequency {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0 % 1_000_000 == 0 {
+        if self.0.is_multiple_of(1_000_000) {
             write!(f, "{} MHz", self.0 / 1_000_000)
         } else {
             write!(f, "{} Hz", self.0)
@@ -279,9 +279,9 @@ impl fmt::Display for Latency {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.is_unconstrained() {
             write!(f, "unconstrained")
-        } else if self.0 % 1_000_000 == 0 && self.0 > 0 {
+        } else if self.0.is_multiple_of(1_000_000) && self.0 > 0 {
             write!(f, "{} ms", self.0 / 1_000_000)
-        } else if self.0 % 1_000 == 0 && self.0 > 0 {
+        } else if self.0.is_multiple_of(1_000) && self.0 > 0 {
             write!(f, "{} us", self.0 / 1_000)
         } else {
             write!(f, "{} ns", self.0)
@@ -311,7 +311,7 @@ impl LinkWidth {
     /// bytes per cycle).
     pub fn from_bits(bits: u32) -> Self {
         assert!(
-            bits > 0 && bits % 8 == 0,
+            bits > 0 && bits.is_multiple_of(8),
             "link width must be a positive multiple of 8 bits"
         );
         LinkWidth(bits)

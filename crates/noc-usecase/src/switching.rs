@@ -254,7 +254,7 @@ mod tests {
         sg.add_smooth_pair(u(1), u(2));
         let g = sg.group();
         // Every use-case appears in exactly one group.
-        let mut seen = vec![0usize; 8];
+        let mut seen = [0usize; 8];
         for grp in g.groups() {
             for &m in grp {
                 seen[m.index()] += 1;

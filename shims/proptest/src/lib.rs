@@ -571,7 +571,7 @@ mod tests {
                 prop_assert_ne!(a, b);
             }
             if let Some(x) = o {
-                prop_assert!(x >= 1 && x < 3);
+                prop_assert!((1..3).contains(&x));
             }
         }
 

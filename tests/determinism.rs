@@ -69,12 +69,12 @@ fn pinned_seed_golden_values() {
     assert_eq!(sp.connection_count(), 352);
     assert_eq!(sp.mean_hops(), 3.0113636363636362);
     assert_eq!(sp.comm_cost_bytes_hops(), 12_277_501_412);
-    assert_eq!(sp.comm_cost(), 12_277_501_412u64 as f64 / 1e6);
+    assert_eq!(sp.comm_cost(), 12_277_501_412_f64 / 1e6);
 
     let bot = design(&BottleneckConfig::paper(4).generate(SEED));
     assert_eq!(bot.switch_count(), 4);
     assert_eq!(bot.connection_count(), 312);
     assert_eq!(bot.mean_hops(), 3.0384615384615383);
     assert_eq!(bot.comm_cost_bytes_hops(), 21_249_120_246);
-    assert_eq!(bot.comm_cost(), 21_249_120_246u64 as f64 / 1e6);
+    assert_eq!(bot.comm_cost(), 21_249_120_246_f64 / 1e6);
 }

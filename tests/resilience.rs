@@ -7,7 +7,7 @@
 use noc_multiusecase::map::mapper::preset_twin;
 use noc_multiusecase::map::remap::RemapConfig;
 use noc_multiusecase::map::{heal, map_multi_usecase, HealOutcome, MapperOptions};
-use noc_multiusecase::service::{generate_trace, AdmitMode, Engine, EngineConfig};
+use noc_multiusecase::service::{generate_trace, Engine, EngineConfig};
 use noc_multiusecase::tdma::TdmaSpec;
 use noc_multiusecase::topology::units::{Bandwidth, Latency};
 use noc_multiusecase::topology::{FaultSet, MeshBuilder, Topology};
@@ -173,7 +173,6 @@ fn reads_mid_batch_observe_flushed_state_at_every_batch_size() {
     for batch in [1usize, 2, 4, 8] {
         let cfg = EngineConfig {
             batch,
-            mode: AdmitMode::Incremental,
             ..EngineConfig::default()
         };
         let mut engine = Engine::new(cfg).unwrap();
