@@ -40,8 +40,7 @@ use std::fmt;
 use noc_obs::{count, Counter};
 use noc_tdma::TdmaSpec;
 use noc_topology::{DegradedView, NodeId, Topology};
-use noc_usecase::spec::{CoreId, SocSpec};
-use noc_usecase::UseCaseGroups;
+use noc_usecase::spec::CoreId;
 
 use crate::error::MapError;
 use crate::mapper::{reroute_preset_groups, MapperOptions, RouteCache};
@@ -147,16 +146,16 @@ impl fmt::Display for RejectReason {
 /// Admits group `group` into the running solution `base`, returning
 /// the change as an [`Admission::delta`] to splice into `base`.
 ///
-/// `base` must carry one (preset-pure) config per group of `groups`,
-/// with a placeholder (e.g. empty) config at index `group` — the
-/// admitted group is always re-routed, so the delta always replaces the
-/// placeholder. `base.core_mapping()` must place every core of every
-/// *other* group; cores of the admitted group that already appear there
-/// (shared with admitted use-cases, or a modify keeping its placement)
-/// are kept, the rest are placed greedily. `merged` must be
-/// `merged_group_flows(soc, groups)` and `cache` a [`RouteCache`] built
-/// for the same partition — hits from earlier admissions are reused
-/// instead of re-routed.
+/// `merged` holds every group's merged flows, the admitted group's at
+/// index `group`. `base` must carry one (preset-pure) config per group
+/// of `merged`, with a placeholder (e.g. empty) config at index `group`
+/// — the admitted group is always re-routed, so the delta always
+/// replaces the placeholder. `base.core_mapping()` must place every
+/// core of every *other* serviced group; cores of the admitted group
+/// that already appear there (shared with admitted use-cases, or a
+/// modify keeping its placement) are kept, the rest are placed greedily.
+/// `cache` must be a [`RouteCache`] built for the same groups — hits
+/// from earlier admissions are reused instead of re-routed.
 ///
 /// Before seating or routing anything, the admitted group's flows pass
 /// the NI-link certificate: the slots one core's flows need out of it,
@@ -186,13 +185,9 @@ impl fmt::Display for RejectReason {
 ///
 /// # Panics
 ///
-/// When `group` is out of range, or `base`/`merged`/`cache` disagree
-/// with `groups` on the group count (as
-/// [`reroute_preset_groups`]).
-#[allow(clippy::too_many_arguments)]
+/// When `group` is out of range, or `base`/`cache` disagree with
+/// `merged` on the group count (as [`reroute_preset_groups`]).
 pub fn admit_group(
-    soc: &SocSpec,
-    groups: &UseCaseGroups,
     base: &MappingSolution,
     options: &MapperOptions,
     group: usize,
@@ -200,7 +195,7 @@ pub fn admit_group(
     merged: &[BTreeMap<(CoreId, CoreId), MergedFlow>],
     cache: &mut RouteCache,
 ) -> Result<Admission, RejectReason> {
-    assert!(group < groups.group_count(), "admitted group in range");
+    assert!(group < merged.len(), "admitted group in range");
     let topo = base.topology();
     let weights = core_weights(&merged[group..=group]);
     let group_cores: BTreeSet<CoreId> = merged[group].keys().flat_map(|&(s, d)| [s, d]).collect();
@@ -255,8 +250,6 @@ pub fn admit_group(
         }
         affected[group] = true;
         reroute_preset_groups(
-            soc,
-            groups,
             topo,
             base.spec(),
             options,
@@ -432,13 +425,14 @@ fn displacement_step(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapper::{map_multi_usecase, preset_twin, Placement};
+    use crate::mapper::{map_multi_usecase, preset_twin};
     use crate::merge::merged_group_flows;
     use crate::result::GroupConfig;
     use crate::strategy::displacement_eviction_budget;
     use noc_topology::units::{Bandwidth, Latency};
     use noc_topology::{FaultSet, MeshBuilder};
-    use noc_usecase::spec::UseCaseBuilder;
+    use noc_usecase::spec::{SocSpec, UseCaseBuilder};
+    use noc_usecase::UseCaseGroups;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -466,7 +460,7 @@ mod tests {
         let options = MapperOptions::default();
         let greedy =
             map_multi_usecase(soc, &groups, topo, TdmaSpec::paper_default(), &options).unwrap();
-        let preset = preset_twin(soc, &groups, &options, &greedy).unwrap();
+        let preset = preset_twin(&options, &greedy, &merged_group_flows(soc, &groups)).unwrap();
         (preset, options)
     }
 
@@ -507,7 +501,7 @@ mod tests {
         let merged = merged_group_flows(&soc, &groups);
         let mut cache = RouteCache::new(&merged);
         let base = with_placeholder(&base);
-        let adm = admit_group(&soc, &groups, &base, &options, 1, 6, &merged, &mut cache).unwrap();
+        let adm = admit_group(&base, &options, 1, 6, &merged, &mut cache).unwrap();
         assert_eq!(adm.placed, vec![c(2), c(3)]);
         assert!(adm.moved.is_empty());
         assert_eq!(adm.evictions, 0);
@@ -540,7 +534,7 @@ mod tests {
         let merged = merged_group_flows(&soc, &groups);
         let mut cache = RouteCache::new(&merged);
         let base = with_placeholder(&with_placeholder(&base));
-        let adm = admit_group(&soc, &groups, &base, &options, 2, 6, &merged, &mut cache).unwrap();
+        let adm = admit_group(&base, &options, 2, 6, &merged, &mut cache).unwrap();
         assert_eq!(adm.placed, vec![c(2)]);
         let routed: Vec<usize> = adm.delta.configs.iter().map(|&(g, _)| g).collect();
         assert_eq!(routed, vec![2]);
@@ -563,8 +557,7 @@ mod tests {
         let merged = merged_group_flows(&soc, &groups);
         let mut cache = RouteCache::new(&merged);
         let base = with_placeholder(&base);
-        let err =
-            admit_group(&soc, &groups, &base, &options, 1, 6, &merged, &mut cache).unwrap_err();
+        let err = admit_group(&base, &options, 1, 6, &merged, &mut cache).unwrap_err();
         match err {
             RejectReason::NisExhausted { needed, free } => {
                 assert_eq!((needed, free), (2, 0));
@@ -590,8 +583,7 @@ mod tests {
         let merged = merged_group_flows(&soc, &groups);
         let mut cache = RouteCache::new(&merged);
         let base = with_placeholder(&base);
-        let err =
-            admit_group(&soc, &groups, &base, &options, 1, 6, &merged, &mut cache).unwrap_err();
+        let err = admit_group(&base, &options, 1, 6, &merged, &mut cache).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -618,7 +610,7 @@ mod tests {
         let merged = merged_group_flows(&soc, &groups);
         let mut cache = RouteCache::new(&merged);
         let base = with_placeholder(&base);
-        let adm = admit_group(&soc, &groups, &base, &options, 1, 6, &merged, &mut cache).unwrap();
+        let adm = admit_group(&base, &options, 1, 6, &merged, &mut cache).unwrap();
         // Only the genuinely new core is placed.
         assert_eq!(adm.placed, vec![c(4)]);
         let solution = spliced(&base, &adm);
@@ -647,9 +639,7 @@ mod tests {
         let base = with_placeholder(&base);
         for budget in [0u64, 6] {
             let mut cache = RouteCache::new(&merged);
-            match admit_group(
-                &soc, &groups, &base, &options, 2, budget, &merged, &mut cache,
-            ) {
+            match admit_group(&base, &options, 2, budget, &merged, &mut cache) {
                 Ok(adm) => {
                     assert!(adm.evictions <= budget, "budget overrun: {}", adm.evictions);
                     spliced(&base, &adm).verify(&soc, &groups).unwrap();
@@ -687,19 +677,16 @@ mod tests {
         soc.add_use_case(uc("u0", &[(0, 1, 100)]));
         soc.add_use_case(uc("u1", &[(5, 6, 100)]));
         let crafted = BTreeMap::from([(c(0), a[0]), (c(1), a[1]), (c(5), a[2]), (c(6), b[0])]);
-        let groups2 = UseCaseGroups::singletons(2);
-        let options = MapperOptions::default();
-        let base = map_multi_usecase(
-            &soc,
-            &groups2,
-            &topo,
+        let crafted = MappingSolution::new(
+            topo.clone(),
+            "crafted",
             TdmaSpec::paper_default(),
-            &MapperOptions {
-                placement: Placement::Preset(crafted),
-                ..options.clone()
-            },
-        )
-        .unwrap();
+            crafted,
+            vec![GroupConfig::new(); 2],
+        );
+        let options = MapperOptions::default();
+        let merged2 = merged_group_flows(&soc, &UseCaseGroups::singletons(2));
+        let base = preset_twin(&options, &crafted, &merged2).unwrap();
 
         soc.add_use_case(uc("u2", &[(2, 0, 1100), (3, 1, 1100)]));
         let groups = UseCaseGroups::singletons(3);
@@ -707,7 +694,7 @@ mod tests {
         let base = with_placeholder(&base);
 
         let mut cache = RouteCache::new(&merged);
-        let rejected = admit_group(&soc, &groups, &base, &options, 2, 0, &merged, &mut cache);
+        let rejected = admit_group(&base, &options, 2, 0, &merged, &mut cache);
         assert!(
             matches!(rejected, Err(RejectReason::Unroutable(_))),
             "zero budget must reject: {rejected:?}"
@@ -715,10 +702,8 @@ mod tests {
 
         let mut cache = RouteCache::new(&merged);
         let budget = displacement_eviction_budget();
-        let adm = admit_group(
-            &soc, &groups, &base, &options, 2, budget, &merged, &mut cache,
-        )
-        .expect("displacement should rescue the admission");
+        let adm = admit_group(&base, &options, 2, budget, &merged, &mut cache)
+            .expect("displacement should rescue the admission");
         assert!(!adm.moved.is_empty(), "no core was displaced");
         assert!((1..=budget).contains(&adm.evictions), "{}", adm.evictions);
         spliced(&base, &adm).verify(&soc, &groups).unwrap();
@@ -786,8 +771,7 @@ mod tests {
         let mut cache = RouteCache::new(&merged);
         let base = with_placeholder(&base);
         let before = crate::perf::snapshot();
-        let err =
-            admit_group(&soc, &groups, &base, &options, 1, 6, &merged, &mut cache).unwrap_err();
+        let err = admit_group(&base, &options, 1, 6, &merged, &mut cache).unwrap_err();
         let spent = crate::perf::snapshot().since(&before);
         assert_eq!(Some(err), refused(0, NiDirection::Send));
         assert_eq!((spent.rejections, spent.path_queries), (1, 0));
@@ -848,11 +832,16 @@ mod tests {
                     .into_iter()
                     .map(|core| (core, nis.swap_remove(rng.gen_range(0..nis.len()))))
                     .collect();
-                let preset = MapperOptions {
-                    placement: Placement::Preset(placement),
-                    ..options.clone()
-                };
-                let result = map_multi_usecase(&soc, &groups, &topo, spec, &preset);
+                let mut cache = RouteCache::new(&merged);
+                let result = reroute_preset_groups(
+                    &topo,
+                    spec,
+                    &options,
+                    &placement,
+                    &[true],
+                    &merged,
+                    &mut cache,
+                );
                 if let Some(reason) = &verdict {
                     assert!(
                         result.is_err(),

@@ -106,7 +106,8 @@ pub fn refine(
     );
     // Re-route the initial placement so current/best are produced by the
     // same pipeline as every candidate (comparable costs).
-    let rerouted_start = preset_twin(soc, groups, options, initial)?;
+    let merged = merged_group_flows(soc, groups);
+    let rerouted_start = preset_twin(options, initial, &merged)?;
     let initial_wins = initial.comm_cost() <= rerouted_start.comm_cost();
     let start = if initial_wins {
         initial.clone()
@@ -119,7 +120,6 @@ pub fn refine(
     // re-place existing cores), and neither does which groups a core's
     // traffic touches.
     let cores: Vec<_> = start.core_mapping().keys().copied().collect();
-    let merged = merged_group_flows(soc, groups);
     let touched: std::collections::BTreeMap<_, Vec<bool>> = cores
         .iter()
         .map(|&core| (core, groups_touching(&merged, |c| c == core)))
@@ -174,8 +174,6 @@ pub fn refine(
             let mut accepted = false;
             let base = shadow.as_ref().unwrap_or(&current);
             let candidate = reroute_preset_groups(
-                soc,
-                groups,
                 base.topology(),
                 base.spec(),
                 options,

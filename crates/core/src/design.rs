@@ -101,7 +101,6 @@ pub fn design_smallest_fabric(
     // *inside* each attempt instead — `map_multi_usecase` routes
     // use-case groups concurrently.
     let cores = soc.cores().len();
-    let mut last_err = None;
     for (rows, cols) in mesh_sizes() {
         let switches = rows as usize * cols as usize;
         if switches > max_switches {
@@ -119,15 +118,15 @@ pub fn design_smallest_fabric(
                 solution.set_label(format!("{}{}", mesh.dims_label(), suffix));
                 return Ok(solution);
             }
-            Err(e @ MapError::Unroutable { .. }) => last_err = Some(e),
             // Structural errors don't improve with size.
-            Err(e @ MapError::FlowExceedsLinkCapacity { .. }) => return Err(e),
-            Err(e @ MapError::EmptySpec) => return Err(e),
-            Err(e @ MapError::GroupMismatch { .. }) => return Err(e),
-            Err(e) => last_err = Some(e),
+            Err(
+                e @ (MapError::FlowExceedsLinkCapacity { .. }
+                | MapError::EmptySpec
+                | MapError::GroupMismatch { .. }),
+            ) => return Err(e),
+            Err(_) => {}
         }
     }
-    let _ = last_err;
     Err(MapError::NoFeasibleSize { max_switches })
 }
 

@@ -16,7 +16,7 @@ use noc_usecase::UseCaseGroups;
 
 use crate::design::{lowest_feasible, min_frequency};
 use crate::error::MapError;
-use crate::mapper::{reroute_preset_groups, MapperOptions, Placement, RouteCache};
+use crate::mapper::{reroute_preset_groups, MapperOptions, RouteCache};
 use crate::merge::merged_group_flows;
 use crate::result::MappingSolution;
 
@@ -51,11 +51,12 @@ impl DvsReport {
 /// bisection on the design's **fixed mesh and core mapping** (paths and
 /// slot tables may be rebuilt — exactly the reconfiguration the paper
 /// permits during use-case switching); power is then averaged with the
-/// DVS rule. A probe re-routes only the use-case's own group
-/// ([`reroute_preset_groups`]) against the design's merged flows, so
-/// the group's pairs are routed in the design's order; at the design
-/// frequency that route is the one the design's preset map found, so no
-/// use-case needs more than the design frequency.
+/// DVS rule. Every probe re-routes the design's merged flows
+/// ([`reroute_preset_groups`]): every group for the design frequency,
+/// only the use-case's own group for its minimum, so the group's pairs
+/// are routed in the design's order. At the design frequency that route
+/// is the one the every-group probe found, so no use-case needs more
+/// than the design frequency.
 ///
 /// # Errors
 ///
@@ -72,42 +73,29 @@ pub fn dvs_savings(
     dvs: &DvsModel,
     floor: Frequency,
 ) -> Result<DvsReport, MapError> {
-    // The no-DVS baseline: the slowest clock at which the whole design
-    // (all use-cases, same mesh and mapping) remains feasible.
-    let preset = MapperOptions {
-        placement: Placement::Preset(solution.core_mapping().clone()),
-        ..options.clone()
-    };
-    let (design_frequency, _) = min_frequency(
-        soc,
-        groups,
-        solution.topology(),
-        solution.spec(),
-        &preset,
-        floor,
-        solution.spec().frequency(),
-    )?;
-
     // A route cache's key holds no frequency, so each probe gets a fresh
     // cache.
     let merged = merged_group_flows(soc, groups);
+    let probe = |f: Frequency, active: &[bool]| {
+        reroute_preset_groups(
+            solution.topology(),
+            solution.spec().at_frequency(f),
+            options,
+            solution.core_mapping(),
+            active,
+            &merged,
+            &mut RouteCache::new(&merged),
+        )
+    };
+    // The no-DVS baseline: the slowest clock at which the whole design
+    // (all use-cases, same mesh and mapping) remains feasible.
+    let every = vec![true; merged.len()];
+    let (design_frequency, _) =
+        lowest_feasible(floor, solution.spec().frequency(), |f| probe(f, &every))?;
     let group_min = |group: usize| {
-        let mut active = vec![false; groups.group_count()];
+        let mut active = vec![false; merged.len()];
         active[group] = true;
-        lowest_feasible(floor, design_frequency, |f| {
-            reroute_preset_groups(
-                soc,
-                groups,
-                solution.topology(),
-                solution.spec().at_frequency(f),
-                options,
-                solution.core_mapping(),
-                &active,
-                &merged,
-                &mut RouteCache::new(&merged),
-            )
-        })
-        .map(|(f, _)| f)
+        lowest_feasible(floor, design_frequency, |f| probe(f, &active)).map(|(f, _)| f)
     };
     let per_group = (0..groups.group_count())
         .map(group_min)

@@ -26,15 +26,14 @@
 //! orders, no RNG, no wall clock), so heal decisions are byte-identical
 //! at any `noc-par` width — the `resilience` suite goldens pin this.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use noc_obs::{count, Counter};
-use noc_usecase::spec::{CoreId, SocSpec};
-use noc_usecase::UseCaseGroups;
+use noc_usecase::spec::CoreId;
 
 use crate::error::MapError;
 use crate::mapper::{reroute_preset_groups, MapperOptions, RouteCache};
-use crate::merge::merged_group_flows;
+use crate::merge::MergedFlow;
 use crate::remap::RemapConfig;
 use crate::result::{GroupConfig, MappingSolution};
 use crate::seat::{free_nis, groups_touching, seat};
@@ -93,10 +92,11 @@ impl HealOutcome {
 
 /// Repairs `base` around the faults in `options.faults`.
 ///
-/// `base` must be preset-pure (produced by the mapper or an earlier
-/// heal/admission) for `groups`, and `remap.max_moved_cores` bounds how
-/// many stranded cores may be re-seated. With an empty fault set the
-/// base solution is returned unchanged as `Healed`.
+/// `merged` holds every group's merged flows, and `base` must be
+/// preset-pure (produced by the mapper or an earlier heal/admission)
+/// with one config per group; `remap.max_moved_cores` bounds how many
+/// stranded cores may be re-seated. With an empty fault set the base
+/// solution is returned unchanged as `Healed`.
 ///
 /// Only groups with a non-empty config in `base` are re-routed: a group
 /// whose config is empty (a use-case the service parked) keeps it, even
@@ -105,10 +105,9 @@ impl HealOutcome {
 /// Increments the `heals_attempted` / `heal_reroutes` /
 /// `heal_evictions` counters in [`crate::perf`].
 pub fn heal(
-    soc: &SocSpec,
-    groups: &UseCaseGroups,
     base: &MappingSolution,
     options: &MapperOptions,
+    merged: &[BTreeMap<(CoreId, CoreId), MergedFlow>],
     remap: &RemapConfig,
 ) -> HealOutcome {
     count(Counter::HealsAttempted, 1);
@@ -121,7 +120,6 @@ pub fn heal(
             moved: Vec::new(),
         };
     }
-    let merged = merged_group_flows(soc, groups);
     let banned = faults.banned_links(topo);
     let degraded_view = topo.degraded(faults);
 
@@ -142,7 +140,7 @@ pub fn heal(
             placement.remove(&core);
             continue;
         }
-        seat(degraded_view, &merged, &mut placement, &mut free, core);
+        seat(degraded_view, merged, &mut placement, &mut free, core);
         moved.push(core);
     }
 
@@ -165,7 +163,7 @@ pub fn heal(
     // Phase 2: delta re-route of the serviced groups the faults
     // actually touch: those touching a moved core or crossing a failed
     // resource. A group with an empty base config stays unrouted.
-    let touched = groups_touching(&merged, |c| moved.contains(&c));
+    let touched = groups_touching(merged, |c| moved.contains(&c));
     let mut active: Vec<bool> = (0..merged.len())
         .map(|g| {
             !degraded_groups.contains(&g)
@@ -184,17 +182,15 @@ pub fn heal(
         // smallest-index error, and bounded by the group count. The
         // cache keeps groups routed in an earlier iteration from being
         // re-routed in the next.
-        let mut cache = RouteCache::new(&merged);
+        let mut cache = RouteCache::new(merged);
         loop {
             match reroute_preset_groups(
-                soc,
-                groups,
                 topo,
                 base.spec(),
                 options,
                 &placement,
                 &active,
-                &merged,
+                merged,
                 &mut cache,
             ) {
                 Ok(delta) => {
@@ -239,10 +235,12 @@ pub fn heal(
 mod tests {
     use super::*;
     use crate::mapper::{map_multi_usecase, preset_twin};
+    use crate::merge::merged_group_flows;
     use noc_tdma::TdmaSpec;
     use noc_topology::units::{Bandwidth, Latency};
     use noc_topology::{FaultSet, MeshBuilder, Topology};
-    use noc_usecase::spec::UseCaseBuilder;
+    use noc_usecase::spec::{SocSpec, UseCaseBuilder};
+    use noc_usecase::UseCaseGroups;
 
     fn c(i: u32) -> CoreId {
         CoreId::new(i)
@@ -258,17 +256,22 @@ mod tests {
         b.build()
     }
 
-    /// A preset-pure base solution on the given topology.
+    /// Every group's merged flows.
+    type Merged = Vec<BTreeMap<(CoreId, CoreId), MergedFlow>>;
+
+    /// A preset-pure base solution on the given topology, with the
+    /// merged flows it was routed from.
     fn preset_base(
         soc: &SocSpec,
         groups: &UseCaseGroups,
         topo: &Topology,
-    ) -> (MappingSolution, MapperOptions) {
+    ) -> (MappingSolution, MapperOptions, Merged) {
         let options = MapperOptions::default();
         let greedy =
             map_multi_usecase(soc, groups, topo, TdmaSpec::paper_default(), &options).unwrap();
-        let preset = preset_twin(soc, groups, &options, &greedy).unwrap();
-        (preset, options)
+        let merged = merged_group_flows(soc, groups);
+        let preset = preset_twin(&options, &greedy, &merged).unwrap();
+        (preset, options, merged)
     }
 
     #[test]
@@ -281,8 +284,8 @@ mod tests {
         let mut soc = SocSpec::new("h");
         soc.add_use_case(uc("u0", &[(0, 1, 200)]));
         let groups = UseCaseGroups::singletons(1);
-        let (base, options) = preset_base(&soc, &groups, &topo);
-        match heal(&soc, &groups, &base, &options, &RemapConfig::default()) {
+        let (base, options, merged) = preset_base(&soc, &groups, &topo);
+        match heal(&base, &options, &merged, &RemapConfig::default()) {
             HealOutcome::Healed {
                 solution,
                 rerouted,
@@ -310,13 +313,13 @@ mod tests {
         soc.add_use_case(uc("u0", &[(0, 1, 200)]));
         soc.add_use_case(uc("u1", &[(1, 0, 100)]));
         let groups = UseCaseGroups::singletons(2);
-        let (mut base, options) = preset_base(&soc, &groups, &topo);
+        let (mut base, options, merged) = preset_base(&soc, &groups, &topo);
         base.group_configs_mut()[1] = GroupConfig::new();
 
         let mut faults = FaultSet::default();
         faults.fail_ni(base.core_mapping()[&c(0)]);
         let options = MapperOptions { faults, ..options };
-        match heal(&soc, &groups, &base, &options, &RemapConfig::default()) {
+        match heal(&base, &options, &merged, &RemapConfig::default()) {
             HealOutcome::Healed {
                 solution,
                 rerouted,
@@ -342,7 +345,7 @@ mod tests {
         soc.add_use_case(uc("u0", &[(0, 1, 200)]));
         soc.add_use_case(uc("u1", &[(2, 3, 150)]));
         let groups = UseCaseGroups::singletons(2);
-        let (base, options) = preset_base(&soc, &groups, &topo);
+        let (base, options, merged) = preset_base(&soc, &groups, &topo);
 
         // Fail a switch-to-switch link of u0's route (the NI attach
         // links have no alternative); u1's config must be untouched.
@@ -360,7 +363,7 @@ mod tests {
         let mut faults = FaultSet::default();
         faults.fail_link(failed);
         let options = MapperOptions { faults, ..options };
-        match heal(&soc, &groups, &base, &options, &RemapConfig::default()) {
+        match heal(&base, &options, &merged, &RemapConfig::default()) {
             HealOutcome::Healed {
                 solution,
                 rerouted,
@@ -395,7 +398,7 @@ mod tests {
         soc.add_use_case(uc("u0", &[(0, 1, 200)]));
         soc.add_use_case(uc("u1", &[(2, 3, 150)]));
         let groups = UseCaseGroups::singletons(2);
-        let (base, options) = preset_base(&soc, &groups, &topo);
+        let (base, options, merged) = preset_base(&soc, &groups, &topo);
 
         let victim_ni = base.ni_of(c(0)).unwrap();
         let mut faults = FaultSet::default();
@@ -407,7 +410,7 @@ mod tests {
             max_moved_cores: 0,
             ..Default::default()
         };
-        match heal(&soc, &groups, &base, &options, &zero) {
+        match heal(&base, &options, &merged, &zero) {
             HealOutcome::Degraded {
                 solution,
                 groups: dead,
@@ -425,7 +428,7 @@ mod tests {
         }
 
         // With budget: the core is re-seated and everything heals.
-        match heal(&soc, &groups, &base, &options, &RemapConfig::default()) {
+        match heal(&base, &options, &merged, &RemapConfig::default()) {
             HealOutcome::Healed {
                 solution, moved, ..
             } => {
@@ -453,7 +456,7 @@ mod tests {
         let mut soc = SocSpec::new("h");
         soc.add_use_case(uc("u0", &[(0, 1, 100)]));
         let groups = UseCaseGroups::singletons(1);
-        let (base, options) = preset_base(&soc, &groups, &topo);
+        let (base, options, merged) = preset_base(&soc, &groups, &topo);
 
         // Fail every link the configured route uses *and* its reverse
         // companions, so no alternative s->d path survives.
@@ -468,7 +471,7 @@ mod tests {
             }
         }
         let options = MapperOptions { faults, ..options };
-        match heal(&soc, &groups, &base, &options, &RemapConfig::default()) {
+        match heal(&base, &options, &merged, &RemapConfig::default()) {
             HealOutcome::Degraded {
                 solution,
                 groups: dead,

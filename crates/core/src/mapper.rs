@@ -28,10 +28,6 @@ pub enum Placement {
     /// NIs round-robin *before* any routing happens; routing then has no
     /// say in placement.
     RoundRobin,
-    /// A fixed, externally supplied core → NI assignment. Used by the
-    /// DVS/DFS study and annealing moves, which re-route on a mapping that
-    /// must not change.
-    Preset(std::collections::BTreeMap<CoreId, NodeId>),
 }
 
 /// Slot-selection policy of every GT reservation.
@@ -59,7 +55,8 @@ pub struct MapperOptions {
     /// Failed links / NIs the mapper must route around (empty by
     /// default). Failed links (and links incident to failed NIs) are
     /// banned from every path search; failed NIs are never offered as
-    /// placement targets, and presetting a core onto one is a typed
+    /// placement targets, and a preset placement
+    /// ([`reroute_preset_groups`]) with a core on one is a typed
     /// [`MapError::NiFailed`]. The `heal` entry point drives this.
     pub faults: FaultSet,
 }
@@ -537,16 +534,17 @@ impl PairQueue {
 
 /// What [`run_mapping`] routes, and how it places cores.
 enum MapMode<'a> {
-    /// A full map: every group, with cores placed under
-    /// `options.placement`.
-    Full,
-    /// A delta run over a preset placement: only the `active` groups
-    /// route. Under faults a run that a cut-off NI dooms fails fast,
-    /// skipping the route sequences `proven` holds (a [`RouteCache`]'s).
-    Delta {
+    /// Every group routes, and each core is placed at the end of the
+    /// path chosen for its first (largest) flow.
+    Unified,
+    /// Cores start on `placement` (any core it leaves out is placed as
+    /// in a unified run), and only the `active` groups route. Under
+    /// faults, with `proven` (a [`RouteCache`]'s), a run that a cut-off
+    /// NI dooms fails fast, skipping the route sequences `proven` holds.
+    Preset {
         placement: &'a BTreeMap<CoreId, NodeId>,
         active: &'a [bool],
-        proven: &'a mut ProvenRoutes,
+        proven: Option<&'a mut ProvenRoutes>,
     },
 }
 
@@ -557,12 +555,12 @@ type RunOutcome = (BTreeMap<CoreId, NodeId>, Vec<Option<GroupConfig>>);
 /// One group's `(src, dst, demand)` routing work for the group pass.
 type GroupDemands = Vec<(CoreId, CoreId, MergedFlow)>;
 
-/// The mapping engine behind [`map_multi_usecase`] and
-/// [`reroute_preset_groups`]: routes the groups `mode` selects and
-/// returns the placement plus per-group configs (`None` for skipped
-/// groups).
+/// The mapping engine behind [`map_multi_usecase`],
+/// [`reroute_preset_groups`] and [`preset_twin`]: routes the groups of
+/// `merged` that `mode` selects and returns the placement plus
+/// per-group configs (`None` for skipped groups).
 ///
-/// A delta run is only sound over a **full preset placement**: each
+/// A filtered run is only sound over a **full preset placement**: each
 /// group's configuration is then a pure function of its own cores'
 /// placements and of every group's demand on its pairs — its slot state
 /// and connection-id sequence are private, and the other groups' demands
@@ -575,8 +573,6 @@ type GroupDemands = Vec<(CoreId, CoreId, MergedFlow)>;
 /// the active groups: capacity is checked on them alone, and a group's
 /// slot table and path scratch are allocated when it first routes.
 fn run_mapping(
-    soc: &SocSpec,
-    groups: &UseCaseGroups,
     topo: &Topology,
     spec: TdmaSpec,
     options: &MapperOptions,
@@ -584,38 +580,14 @@ fn run_mapping(
     mode: MapMode<'_>,
 ) -> Result<RunOutcome, MapError> {
     let (preset, active, proven) = match mode {
-        MapMode::Full => match &options.placement {
-            Placement::Preset(assignment) => (Some(assignment), None, None),
-            _ => (None, None, None),
-        },
-        MapMode::Delta {
+        MapMode::Unified => (None, None, None),
+        MapMode::Preset {
             placement,
             active,
             proven,
-        } => (Some(placement), Some(active), Some(proven)),
+        } => (Some(placement), Some(active), proven),
     };
-    if soc.total_flow_count() == 0 {
-        return Err(MapError::EmptySpec);
-    }
-    if groups.use_case_count() != soc.use_case_count() {
-        return Err(MapError::GroupMismatch {
-            spec_use_cases: soc.use_case_count(),
-            group_use_cases: groups.use_case_count(),
-        });
-    }
-    let cores = soc.cores();
-    if cores.len() > topo.ni_count() {
-        return Err(MapError::TooManyCores {
-            cores: cores.len(),
-            nis: topo.ni_count(),
-        });
-    }
-
-    debug_assert_eq!(
-        merged.len(),
-        groups.group_count(),
-        "merged flows must come from merged_group_flows(soc, groups)"
-    );
+    let group_count = merged.len();
 
     let is_active = |g: usize| active.is_none_or(|a| a[g]);
     // Assemble one task per pair an active group routes, carrying every
@@ -691,46 +663,35 @@ fn run_mapping(
     let mut state = MapState {
         topo,
         spec,
-        group_states: (0..groups.group_count())
-            .map(|_| Mutex::new(None))
-            .collect(),
+        group_states: (0..group_count).map(|_| Mutex::new(None)).collect(),
         core_to_ni: BTreeMap::new(),
         ni_occupied,
         free_nis,
         banned_base,
     };
 
-    match preset {
-        None if options.placement == Placement::RoundRobin => {
-            let nis = state.free_nis.clone();
-            for (core, ni) in cores.iter().zip(nis) {
-                state.place(*core, ni);
+    if let Some(assignment) = preset {
+        for (&core, &ni) in assignment {
+            if options.faults.ni_failed(ni) {
+                return Err(MapError::NiFailed { core, ni });
             }
-        }
-        None => {}
-        Some(assignment) => {
-            for (&core, &ni) in assignment {
-                if options.faults.ni_failed(ni) {
-                    return Err(MapError::NiFailed { core, ni });
-                }
-                if !topo.node(ni).is_ni() || state.ni_occupied[ni.index()] {
-                    return Err(MapError::TooManyCores {
-                        cores: cores.len(),
-                        nis: topo.ni_count(),
-                    });
-                }
-                state.place(core, ni);
+            if !topo.node(ni).is_ni() || state.ni_occupied[ni.index()] {
+                return Err(MapError::TooManyCores {
+                    cores: assignment.len(),
+                    nis: topo.ni_count(),
+                });
             }
+            state.place(core, ni);
         }
     }
 
-    let mut configs: Vec<Option<GroupConfig>> = (0..groups.group_count())
+    let mut configs: Vec<Option<GroupConfig>> = (0..group_count)
         .map(|g| is_active(g).then(GroupConfig::new))
         .collect();
     // Demands deferred to the parallel per-group pass, in placement-pass
     // processing order (each group's routing order must not depend on
     // scheduling).
-    let mut deferred: Vec<GroupDemands> = vec![Vec::new(); groups.group_count()];
+    let mut deferred: Vec<GroupDemands> = vec![Vec::new(); group_count];
     let mut queue = PairQueue::new(&tasks, options.prefer_mapped, &state.core_to_ni);
     #[cfg(test)]
     let mut reference = tests::QuadraticPicks::new(&tasks, options.prefer_mapped);
@@ -823,7 +784,8 @@ fn run_mapping(
 /// `groups` is the partition produced by phase 2 (Algorithm 1); use
 /// [`UseCaseGroups::singletons`] when every use-case may be freely
 /// reconfigured and [`UseCaseGroups::single_group`] to forbid
-/// reconfiguration entirely.
+/// reconfiguration entirely. This is the one entry point that takes a
+/// spec and its partition, and the one that validates them.
 ///
 /// # Errors
 ///
@@ -850,9 +812,49 @@ pub fn map_multi_usecase(
             group_use_cases: groups.use_case_count(),
         });
     }
+    if soc.total_flow_count() == 0 {
+        return Err(MapError::EmptySpec);
+    }
+    let cores = soc.cores();
+    if cores.len() > topo.ni_count() {
+        return Err(MapError::TooManyCores {
+            cores: cores.len(),
+            nis: topo.ni_count(),
+        });
+    }
     let merged = merged_group_flows(soc, groups);
-    let (core_to_ni, configs) =
-        run_mapping(soc, groups, topo, spec, options, &merged, MapMode::Full)?;
+    match options.placement {
+        Placement::Unified => map_every_group(topo, spec, options, &merged, None),
+        // Round-robin presets the cores on the surviving NIs, in
+        // topology order, before anything routes.
+        Placement::RoundRobin => {
+            let faults = &options.faults;
+            let surviving = topo.nis().iter().filter(|&&ni| !faults.ni_failed(ni));
+            let placement = cores.into_iter().zip(surviving.copied()).collect();
+            map_every_group(topo, spec, options, &merged, Some(&placement))
+        }
+    }
+}
+
+/// Routes every group of `merged`, from `preset` when one is given, and
+/// returns the full solution.
+fn map_every_group(
+    topo: &Topology,
+    spec: TdmaSpec,
+    options: &MapperOptions,
+    merged: &[BTreeMap<(CoreId, CoreId), MergedFlow>],
+    preset: Option<&BTreeMap<CoreId, NodeId>>,
+) -> Result<MappingSolution, MapError> {
+    let active = vec![true; merged.len()];
+    let mode = match preset {
+        None => MapMode::Unified,
+        Some(placement) => MapMode::Preset {
+            placement,
+            active: &active,
+            proven: None,
+        },
+    };
+    let (core_to_ni, configs) = run_mapping(topo, spec, options, merged, mode)?;
     Ok(MappingSolution::new(
         topo.clone(),
         format!("{}sw", topo.switch_count()),
@@ -865,35 +867,35 @@ pub fn map_multi_usecase(
     ))
 }
 
-/// Delta re-route for placement moves: re-routes only the groups marked
-/// in `affected` under `placement` (which must place **every** core, as
-/// annealing moves do) on `topo` at `spec`, and returns what it
-/// computed as a [`SolutionDelta`]: the placement plus the configs of
-/// the affected groups. An affected group whose placement signature
-/// `cache` holds is taken from the cache (`route_cache_hits`) instead
-/// of being re-routed; a re-routed group is cached under its signature
-/// (`route_cache_misses`).
+/// Delta re-route for placement moves: re-routes only the groups of
+/// `merged` marked in `affected` under `placement` (which must place
+/// **every** core of an affected group, as annealing moves do) on `topo`
+/// at `spec`, and returns what it computed as a [`SolutionDelta`]: the
+/// placement plus the configs of the affected groups. An affected group
+/// whose placement signature `cache` holds is taken from the cache
+/// (`route_cache_hits`) instead of being re-routed; a re-routed group is
+/// cached under its signature (`route_cache_misses`).
 ///
 /// Spliced ([`MappingSolution::splice`]) into a solution whose configs
 /// equal a full preset re-route of its own placement ([`preset_twin`]),
-/// the delta gives exactly what a full [`map_multi_usecase`] with
-/// [`Placement::Preset`] gives, because, with placement fixed up front,
-/// each group's configuration is a pure function of its own cores' NIs
-/// and of the demands on its pairs: pair processing order is
+/// the delta gives exactly what [`preset_twin`] gives on the new
+/// placement, because, with placement fixed up front, each group's
+/// configuration is a pure function of its own cores' NIs and of the
+/// demands on its pairs: pair processing order is
 /// placement-independent, slot state and connection ids are
 /// group-private, and unmapped-endpoint logic never fires. The
 /// annealer leans on this to evaluate a two-core swap by re-routing only
 /// the groups whose traffic touches either core. Any solution spliced
-/// from such a delta, or made by a preset [`map_multi_usecase`], is
-/// again a valid splice base.
+/// from such a delta, or made by [`preset_twin`], is again a valid
+/// splice base.
 ///
 /// `options.placement` is ignored; the borrowed `placement` wins.
-/// `merged` must be `merged_group_flows(soc, groups)`, precomputed by
-/// the caller — the annealer hoists it out of its walk so a proposed
-/// move does not re-merge every flow of every group. `cache` must have
-/// been built for the same `merged`, topology, TDMA spec and options;
-/// callers keep one across calls, so a move that revisits a placement
-/// reuses what an earlier call routed.
+/// `merged` holds every group's merged flows (`merged_group_flows(soc,
+/// groups)`), precomputed by the caller — the annealer hoists it out of
+/// its walk so a proposed move does not re-merge every flow of every
+/// group. `cache` must have been built for the same `merged`, topology,
+/// TDMA spec and options; callers keep one across calls, so a move that
+/// revisits a placement reuses what an earlier call routed.
 ///
 /// Under faults, a call one of whose pairs has an NI that cannot send or
 /// cannot receive over any surviving link fails with the error the full
@@ -902,16 +904,15 @@ pub fn map_multi_usecase(
 ///
 /// # Errors
 ///
-/// As [`map_multi_usecase`], restricted to the affected groups.
+/// As [`map_multi_usecase`] on the affected groups, less its input
+/// checks; a `placement` with two cores on one NI, or a core on a
+/// failed NI, is [`MapError::TooManyCores`] / [`MapError::NiFailed`].
 ///
 /// # Panics
 ///
-/// When `affected.len() != groups.group_count()`, or when `cache` was
-/// built for a different group count.
-#[allow(clippy::too_many_arguments)]
+/// When `affected.len() != merged.len()`, or when `cache` was built for
+/// a different group count.
 pub fn reroute_preset_groups(
-    soc: &SocSpec,
-    groups: &UseCaseGroups,
     topo: &Topology,
     spec: TdmaSpec,
     options: &MapperOptions,
@@ -920,15 +921,11 @@ pub fn reroute_preset_groups(
     merged: &[BTreeMap<(CoreId, CoreId), MergedFlow>],
     cache: &mut RouteCache,
 ) -> Result<SolutionDelta, MapError> {
-    assert_eq!(
-        affected.len(),
-        groups.group_count(),
-        "one affected flag per group"
-    );
+    assert_eq!(affected.len(), merged.len(), "one affected flag per group");
     assert_eq!(
         cache.groups.len(),
-        groups.group_count(),
-        "cache built for this partition"
+        merged.len(),
+        "cache built for these groups"
     );
     // Split the affected set into cache hits (taken below) and the
     // groups to route, whose configs are cached after the run.
@@ -951,12 +948,12 @@ pub fn reroute_preset_groups(
     count(Counter::RouteCacheMisses, misses.len() as u64);
     count(Counter::GroupsRerouted, rerouted);
     count(Counter::GroupsReused, affected.len() as u64 - rerouted);
-    let mode = MapMode::Delta {
+    let mode = MapMode::Preset {
         placement,
         active: &to_route,
-        proven: &mut cache.proven,
+        proven: Some(&mut cache.proven),
     };
-    let (placement, mut configs) = run_mapping(soc, groups, topo, spec, options, merged, mode)?;
+    let (placement, mut configs) = run_mapping(topo, spec, options, merged, mode)?;
     for (g, sig) in misses {
         let config = configs[g].clone().expect("routed groups have configs");
         cache.groups[g].configs.insert(sig, config);
@@ -974,30 +971,29 @@ pub fn reroute_preset_groups(
     })
 }
 
-/// The preset-pure twin of `solution`: the same placement fully
-/// re-routed with [`Placement::Preset`] on the same topology and TDMA
-/// spec. Only such a solution may take a [`reroute_preset_groups`]
-/// delta ([`MappingSolution::splice`]) or seed a [`RouteCache`]; a
-/// unified map's configs come from its placement pass and may differ.
+/// The preset-pure twin of `solution`: the same placement with every
+/// group of `merged` re-routed on the same topology and TDMA spec. Only
+/// such a solution may take a [`reroute_preset_groups`] delta
+/// ([`MappingSolution::splice`]) or seed a [`RouteCache`]; a unified
+/// map's configs come from its placement pass and may differ. Counts
+/// one `full_maps`.
 ///
 /// # Errors
 ///
-/// As [`map_multi_usecase`].
+/// As [`reroute_preset_groups`] with every group affected.
 pub fn preset_twin(
-    soc: &SocSpec,
-    groups: &UseCaseGroups,
     options: &MapperOptions,
     solution: &MappingSolution,
+    merged: &[BTreeMap<(CoreId, CoreId), MergedFlow>],
 ) -> Result<MappingSolution, MapError> {
-    map_multi_usecase(
-        soc,
-        groups,
+    count(Counter::FullMaps, 1);
+    let placement = Some(solution.core_mapping());
+    map_every_group(
         solution.topology(),
         solution.spec(),
-        &MapperOptions {
-            placement: Placement::Preset(solution.core_mapping().clone()),
-            ..options.clone()
-        },
+        options,
+        merged,
+        placement,
     )
 }
 
@@ -1584,7 +1580,8 @@ mod tests {
             let use_cases = rng.gen_range(1..=6usize);
             let soc = random_soc(&mut rng, use_cases, 8);
             let groups = random_groups(&mut rng, use_cases);
-            let mut placements = vec![Placement::Unified, Placement::RoundRobin];
+            let merged = merged_group_flows(&soc, &groups);
+            let mut presets = Vec::new();
             if let Ok(sol) =
                 map_multi_usecase(&soc, &groups, m.topology(), spec, &Default::default())
             {
@@ -1593,13 +1590,13 @@ mod tests {
                 // remaining cores are placed).
                 let full = sol.core_mapping().clone();
                 let partial = full.iter().step_by(2).map(|(&c, &n)| (c, n)).collect();
-                placements.extend([Placement::Preset(full), Placement::Preset(partial)]);
+                presets.extend([full, partial]);
             }
-            for placement in &placements {
-                for prefer_mapped in [true, false] {
-                    for sort_by_bandwidth in [true, false] {
+            for prefer_mapped in [true, false] {
+                for sort_by_bandwidth in [true, false] {
+                    for placement in [Placement::Unified, Placement::RoundRobin] {
                         let options = MapperOptions {
-                            placement: placement.clone(),
+                            placement,
                             prefer_mapped,
                             sort_by_bandwidth,
                             ..Default::default()
@@ -1609,6 +1606,24 @@ mod tests {
                         assert!(
                             checked_picks() > before,
                             "seed {seed}: no pick was checked under {options:?}"
+                        );
+                    }
+                    let options = MapperOptions {
+                        prefer_mapped,
+                        sort_by_bandwidth,
+                        ..Default::default()
+                    };
+                    for preset in &presets {
+                        let before = checked_picks();
+                        let every = vec![true; merged.len()];
+                        let mut cache = RouteCache::new(&merged);
+                        let topo = m.topology();
+                        let _ = reroute_preset_groups(
+                            topo, spec, &options, preset, &every, &merged, &mut cache,
+                        );
+                        assert!(
+                            checked_picks() > before,
+                            "seed {seed}: no pick was checked on {preset:?} under {options:?}"
                         );
                     }
                 }
@@ -1627,10 +1642,6 @@ mod tests {
         let m = mesh(3, 3, 1);
         let spec = TdmaSpec::paper_default();
         let options = MapperOptions::default();
-        let preset = |placement: &BTreeMap<CoreId, NodeId>| MapperOptions {
-            placement: Placement::Preset(placement.clone()),
-            ..options.clone()
-        };
         let (mut compared, before) = (0, crate::perf::snapshot());
         for seed in 0..24 {
             let mut rng = SmallRng::seed_from_u64(seed);
@@ -1640,9 +1651,9 @@ mod tests {
             let Ok(greedy) = map_multi_usecase(&soc, &groups, m.topology(), spec, &options) else {
                 continue;
             };
-            let mut current = preset_twin(&soc, &groups, &options, &greedy)
-                .expect("a greedy placement re-routes");
             let merged = merged_group_flows(&soc, &groups);
+            let mut current =
+                preset_twin(&options, &greedy, &merged).expect("a greedy placement re-routes");
             let mut cache = RouteCache::new(&merged);
             // Seeded as the searches seed it, or empty as `nocd` starts.
             if seed % 2 == 0 {
@@ -1679,8 +1690,6 @@ mod tests {
                     .collect();
                 let picks = checked_picks();
                 let delta = reroute_preset_groups(
-                    &soc,
-                    &groups,
                     m.topology(),
                     spec,
                     &options,
@@ -1695,8 +1704,9 @@ mod tests {
                     spliced
                 });
                 assert!(checked_picks() > picks, "seed {seed}: no pick was checked");
-                let full =
-                    map_multi_usecase(&soc, &groups, m.topology(), spec, &preset(&placement));
+                let mut moved = current.clone();
+                *moved.core_mapping_mut() = placement.clone();
+                let full = preset_twin(&options, &moved, &merged);
                 assert_eq!(
                     delta, full,
                     "seed {seed} step {step}: delta re-route diverged"
@@ -1788,9 +1798,7 @@ mod tests {
                     .map(|_| rng.gen_bool(0.7))
                     .collect();
                 let reroute = |cache: &mut RouteCache| {
-                    reroute_preset_groups(
-                        &soc, &groups, topo, spec, &options, &moved, &affected, &merged, cache,
-                    )
+                    reroute_preset_groups(topo, spec, &options, &moved, &affected, &merged, cache)
                 };
                 let fast = reroute(&mut fast_cache);
                 FULL_PASS_ONLY.with(|f| f.set(true));

@@ -116,7 +116,7 @@ pub fn refine_with_remap(
         let mut cache = RouteCache::new(&merged);
 
         // Start: the base placement, re-routed for this group only.
-        let mut current = preset_twin(&sub_soc, &sub_groups, options, base)?;
+        let mut current = preset_twin(options, base, &merged)?;
         let mut cost = current.comm_cost_bytes_hops();
         let mut mapping = base.core_mapping().clone();
 
@@ -131,8 +131,6 @@ pub fn refine_with_remap(
                     swap(&mut mapping, core, target);
                     if moved_cores(base.core_mapping(), &mapping).len() <= config.max_moved_cores {
                         let delta = reroute_preset_groups(
-                            &sub_soc,
-                            &sub_groups,
                             current.topology(),
                             current.spec(),
                             options,
@@ -279,7 +277,7 @@ mod tests {
         (0..groups.group_count())
             .map(|g| {
                 let (sub, subg) = group_spec(soc, groups, g);
-                let twin = preset_twin(&sub, &subg, opts, base).unwrap();
+                let twin = preset_twin(opts, base, &merged_group_flows(&sub, &subg)).unwrap();
                 twin.comm_cost_bytes_hops()
             })
             .collect()
@@ -332,9 +330,9 @@ mod tests {
     /// On the conflicted SoC and on random small SoCs, every per-group
     /// solution verifies on its sub-spec, moves at most the budget from
     /// the base, costs no more than the base re-routed for its group,
-    /// and equals a fresh preset map of its own placement: the configs
-    /// the climb spliced from cached re-routes are the ones a full map
-    /// gives.
+    /// and equals a fresh `preset_twin` of its own placement: the
+    /// configs the climb spliced from cached re-routes are the ones a
+    /// full re-route gives.
     #[test]
     fn remap_never_hurts_and_verifies() {
         let cases = std::iter::once(Some(setup())).chain((0..32).map(random_design));
@@ -358,7 +356,7 @@ mod tests {
                     sol.comm_cost_bytes_hops(),
                     base_costs[g]
                 );
-                let fresh = preset_twin(&sub, &subg, &opts, sol).unwrap();
+                let fresh = preset_twin(&opts, sol, &merged_group_flows(&sub, &subg)).unwrap();
                 assert_eq!(*sol, fresh, "case {i} group {g}: spliced configs");
                 moved += m.len();
             }

@@ -426,8 +426,7 @@ mod tests {
                 };
                 let unjoined_group = (0..merged.len()).any(|g| affected[g] && bound(g).is_none());
                 let delta = reroute_preset_groups(
-                    &soc, &groups, &topo, spec, &options, &placement, &affected, &merged,
-                    &mut cache,
+                    &topo, spec, &options, &placement, &affected, &merged, &mut cache,
                 );
                 let Ok(delta) = delta else {
                     unjoined += usize::from(unjoined_group);

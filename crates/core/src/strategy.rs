@@ -161,7 +161,7 @@ fn displacement_search(
     greedy: MappingSolution,
 ) -> Result<StrategyOutcome, MapError> {
     let merged = merged_group_flows(soc, groups);
-    let mut current = preset_twin(soc, groups, options, &greedy)?;
+    let mut current = preset_twin(options, &greedy, &merged)?;
     let mut cache = RouteCache::new(&merged);
     let hops = HopTable::new(current.topology().degraded(&options.faults));
 
@@ -211,8 +211,6 @@ fn displacement_search(
                 let may_improve = may_improve || tests::ungated();
                 let delta = may_improve.then(|| {
                     reroute_preset_groups(
-                        soc,
-                        groups,
                         current.topology(),
                         current.spec(),
                         options,

@@ -7,7 +7,10 @@ use noc_topology::MeshBuilder;
 use noc_usecase::spec::{CoreId, Flow, SocSpec, UseCaseBuilder};
 use noc_usecase::UseCaseGroups;
 use nocmap::design::{design_smallest_mesh, min_frequency};
-use nocmap::{map_multi_usecase, MapperOptions, Placement};
+use nocmap::{
+    map_multi_usecase, merged_group_flows, reroute_preset_groups, MapError, MapperOptions,
+    RouteCache,
+};
 
 fn c(i: u32) -> CoreId {
     CoreId::new(i)
@@ -259,7 +262,7 @@ fn capacity_scaling_reduces_slot_demand() {
     assert_eq!(k2, 8); // 500 of 8000 MB/s = 1/16 of 128
 }
 
-/// Preset placement with a stale NI id is rejected, not mis-mapped.
+/// A preset placement with two cores on one NI is rejected, not mis-mapped.
 #[test]
 fn preset_placement_validation() {
     let mut soc = SocSpec::new("preset");
@@ -274,17 +277,17 @@ fn preset_placement_validation() {
     // Map both cores onto the SAME NI: must be rejected.
     let ni = topo.nis()[0];
     let preset: std::collections::BTreeMap<_, _> = [(c(0), ni), (c(1), ni)].into_iter().collect();
-    let err = map_multi_usecase(
-        &soc,
-        &UseCaseGroups::singletons(1),
+    let merged = merged_group_flows(&soc, &UseCaseGroups::singletons(1));
+    let err = reroute_preset_groups(
         topo,
         TdmaSpec::paper_default(),
-        &MapperOptions {
-            placement: Placement::Preset(preset),
-            ..Default::default()
-        },
+        &MapperOptions::default(),
+        &preset,
+        &[true],
+        &merged,
+        &mut RouteCache::new(&merged),
     );
-    assert!(err.is_err());
+    assert!(matches!(err, Err(MapError::TooManyCores { .. })), "{err:?}");
 }
 
 /// Flow validation composes with mapping: specs built from raw `Flow`s

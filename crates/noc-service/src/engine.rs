@@ -54,7 +54,6 @@ use noc_tdma::TdmaSpec;
 use noc_topology::units::{Bandwidth, Frequency, Latency, LinkWidth};
 use noc_topology::{FaultSet, MeshBuilder, NodeId};
 use noc_usecase::spec::{CoreId, SocSpec, UseCase, UseCaseBuilder, UseCaseId};
-use noc_usecase::UseCaseGroups;
 use nocmap::merge::MergedFlow;
 use nocmap::remap::RemapConfig;
 use nocmap::strategy::displacement_eviction_budget;
@@ -551,12 +550,10 @@ impl Engine {
         if self.soc.use_case_count() == 0 {
             return head;
         }
-        let groups = UseCaseGroups::singletons(self.soc.use_case_count());
         match nocmap::heal(
-            &self.soc,
-            &groups,
             &self.solution,
             &self.options,
+            &self.merged,
             &RemapConfig::default(),
         ) {
             HealOutcome::Healed {
@@ -731,10 +728,7 @@ impl Engine {
     fn admit_incremental(&mut self, uc: UseCase) -> Result<(u128, usize, u64), String> {
         self.push(uc);
         let group = self.soc.use_case_count() - 1;
-        let groups = UseCaseGroups::singletons(group + 1);
         match admit_group(
-            &self.soc,
-            &groups,
             &self.solution,
             &self.options,
             group,
@@ -837,6 +831,7 @@ fn build_use_case(id: &str, flows: &[FlowSpec]) -> Result<UseCase, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noc_usecase::UseCaseGroups;
     use nocmap::merged_group_flows;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -1181,5 +1176,32 @@ mod tests {
         }
         assert_eq!(engine.stats().adds, 0);
         assert_eq!(engine.submit_line("flush"), "ok applied n=0\n.\n");
+    }
+
+    /// The cores of a parked use-case hold no NI, so they do not count
+    /// against the fabric: with four NIs, one failed and two seated, an
+    /// admission that needs one more core takes the free one, although
+    /// the use-cases reference five cores in all.
+    #[test]
+    fn parked_cores_leave_their_nis_to_admissions() {
+        let mut engine = Engine::new(EngineConfig {
+            rows: 1,
+            cols: 2,
+            nis_per_switch: 2,
+            batch: 1,
+            ..EngineConfig::default()
+        })
+        .expect("valid mesh");
+        for line in ["add u0 flow 0 1 100", "add u1 flow 2 3 100"] {
+            let response = engine.submit_line(line);
+            assert!(response.contains(": admitted "), "{line}: {response}");
+        }
+        let response = engine.submit_line("fault ni 2");
+        assert!(response.contains(" [u1]"), "u1 is not parked: {response}");
+        let response = engine.submit_line("add u2 flow 4 0 100");
+        assert!(
+            response.contains("#4 add u2: admitted ") && response.contains(" placed=1 "),
+            "{response}"
+        );
     }
 }

@@ -188,8 +188,10 @@ fn pool_is_reused_across_sequential_regions() {
 /// cores turns speculative work into pure overhead, which is a
 /// misconfiguration, not a property worth asserting. The actual measured
 /// speedup is reported by `nocmap_cli flow run runtime` (and recorded in
-/// CHANGES.md); the bound here is loose so that slow or noisy CI
-/// machines cannot flake it.
+/// CHANGES.md); the bound here is loose, and each side is timed as the
+/// fastest of three alternating runs, so that slow or noisy CI machines
+/// (or the other tests of this binary running beside it) cannot flake
+/// it.
 #[test]
 fn parallel_mapping_does_not_lose_to_sequential() {
     let soc = SpreadConfig::paper(20).generate(SEED + 20);
@@ -204,9 +206,14 @@ fn parallel_mapping_does_not_lose_to_sequential() {
     };
     // Warm-up so first-touch page faults don't bias the 1-thread run.
     let _ = time(1);
-    let (sequential, seq_sol) = time(1);
-    let (parallel, par_sol) = time(threads);
-    assert_eq!(seq_sol, par_sol);
+    let (mut sequential, mut parallel) = (std::time::Duration::MAX, std::time::Duration::MAX);
+    for _ in 0..3 {
+        let (seq_time, seq_sol) = time(1);
+        let (par_time, par_sol) = time(threads);
+        assert_eq!(seq_sol, par_sol);
+        sequential = sequential.min(seq_time);
+        parallel = parallel.min(par_time);
+    }
     // Loose bound: the parallel run may take at most 1.5x the sequential
     // wall-clock (on multi-core hardware it is well below 1x).
     assert!(

@@ -267,7 +267,7 @@ fn refused_admission_allocates_only_for_groups_that_route() {
     let spec = TdmaSpec::paper_default();
     let live = UseCaseGroups::singletons(2);
     let greedy = map_multi_usecase(&soc, &live, &topo, spec, &options).unwrap();
-    let running = preset_twin(&soc, &live, &options, &greedy).unwrap();
+    let running = preset_twin(&options, &greedy, &merged_group_flows(&soc, &live)).unwrap();
 
     // The admitted use-case's largest pair (routed first) has a latency
     // bound no path meets, so every repair attempt fails on it.
@@ -291,8 +291,6 @@ fn refused_admission_allocates_only_for_groups_that_route() {
     let mut cache = RouteCache::new(&merged);
     let before = perf::snapshot();
     let refused = admit_group(
-        &soc,
-        &groups,
         &base,
         &options,
         2,

@@ -6,7 +6,9 @@
 
 use noc_multiusecase::map::mapper::preset_twin;
 use noc_multiusecase::map::remap::RemapConfig;
-use noc_multiusecase::map::{heal, map_multi_usecase, HealOutcome, MapperOptions};
+use noc_multiusecase::map::{
+    heal, map_multi_usecase, merged_group_flows, HealOutcome, MapperOptions,
+};
 use noc_multiusecase::service::{generate_trace, Engine, EngineConfig};
 use noc_multiusecase::tdma::TdmaSpec;
 use noc_multiusecase::topology::units::{Bandwidth, Latency};
@@ -24,7 +26,7 @@ fn preset_base(
 ) -> Option<noc_multiusecase::map::MappingSolution> {
     let options = MapperOptions::default();
     let greedy = map_multi_usecase(soc, groups, topo, TdmaSpec::paper_default(), &options).ok()?;
-    preset_twin(soc, groups, &options, &greedy).ok()
+    preset_twin(&options, &greedy, &merged_group_flows(soc, groups)).ok()
 }
 
 /// Strategy: a small use-case over `cores` cores (distinct pairs).
@@ -86,9 +88,10 @@ proptest! {
             }
         }
         let options = MapperOptions { faults: faults.clone(), ..MapperOptions::default() };
-        let outcome = heal(&soc, &groups, &base, &options, &RemapConfig::default());
+        let merged = merged_group_flows(&soc, &groups);
+        let outcome = heal(&base, &options, &merged, &RemapConfig::default());
         // Determinism: the same inputs heal identically.
-        let again = heal(&soc, &groups, &base, &options, &RemapConfig::default());
+        let again = heal(&base, &options, &merged, &RemapConfig::default());
         match (&outcome, &again) {
             (HealOutcome::Healed { solution: a, .. }, HealOutcome::Healed { solution: b, .. })
             | (

@@ -26,7 +26,7 @@ use noc_multiusecase::map::anneal::{refine, AnnealConfig};
 use noc_multiusecase::map::design::FabricKind;
 use noc_multiusecase::map::mapper::{map_multi_usecase, preset_twin, Placement};
 use noc_multiusecase::map::strategy::{design_with_strategy, StrategyKind, StrategyOutcome};
-use noc_multiusecase::map::{MapperOptions, MappingSolution};
+use noc_multiusecase::map::{merged_group_flows, MapperOptions, MappingSolution};
 use noc_multiusecase::tdma::TdmaSpec;
 use noc_multiusecase::topology::units::{Bandwidth, Latency};
 use noc_multiusecase::topology::{LinkId, MeshBuilder};
@@ -263,7 +263,8 @@ proptest! {
             if refined == initial {
                 continue;
             }
-            let full = preset_twin(&soc, &groups, &opts, &refined).expect("refined re-routes");
+            let merged = merged_group_flows(&soc, &groups);
+            let full = preset_twin(&opts, &refined, &merged).expect("refined re-routes");
             prop_assert_eq!(refined, full);
         }
     }
